@@ -20,17 +20,36 @@ exact:
 * an exact margin LP (single phase, Bland's rule) as the decision oracle for
   everything the first two layers cannot settle.
 
+Above these sits an orbit layer.  The arrangement is invariant under the
+symmetric group on positions (relabelling permutes the hyperplanes, with a
+sign flip whenever the image side loses position 0) and under x -> -x.  When
+the walk meets a new sign vector it closes its whole S_n x {+-1} orbit with
+precomputed bit tables for the adjacent transpositions and the all-sign
+complement, so the three layers only ever run for neighbours of orbit
+representatives that lie outside every known orbit.  The flip graph is
+equivariant, so the orbits of the representatives cover every chamber.
+
+Witnesses are primitive integer vectors (the chambers are open cones, so a
+rational witness is scaled by its common denominator and divided by the gcd
+of its coordinates).  A representative's witness is permuted and negated
+into the witnesses of its orbit, and every table, computed or read from
+disk, is checked exactly in integers before use: each witness sums to zero
+and lies strictly on its recorded side of every hyperplane.
+
 Computed chamber tables are cached in-process and, optionally, on disk as
-JSON lines (written atomically).
+JSON lines (written atomically).  The disk table depends only on n: ground
+labels are sorted, so signs and witness coordinates are positional.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import ratgeom
@@ -39,7 +58,7 @@ from .errors import ResourceBoundError
 from .preposets import AdjointFamily, two_block
 from .rat import ZERO, rat, rat_str, parse_rat
 
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 CACHE_ENV = "STEINMANN_CACHE_DIR"
 DEFAULT_MAX_N = 6
 MAX_N = DEFAULT_MAX_N  # process-wide safety bound; the CLI overrides via --max-n
@@ -190,8 +209,10 @@ def enumerate_sign_chambers(functionals, dim, seed=None, neighbor_ok=None):
     """All realizable strict sign vectors of a list of integer functionals.
 
     Returns ``{bits: witness}`` where bit k set means functional k positive.
-    ``neighbor_ok(bits, flipped_index)`` may veto candidates that a cheap
-    necessary condition rules out; it must never veto a realizable vector.
+    ``neighbor_ok(bits, flipped_index)`` may veto candidates.  A veto by a
+    cheap necessary condition, which never rejects a realizable vector, keeps
+    the result complete; a caller that vetoes vectors it accounts for another
+    way (the orbit walk of the adjoint arrangement) gets only the rest.
     """
     if not functionals:
         return {0: tuple(rat(0) for _ in range(dim))}
@@ -296,24 +317,150 @@ def _lift_witness(g: GroundSet, y) -> ratgeom.Point:
     return ratgeom.Point(g, coords)
 
 
+# ---------------------------------------------------------------------------
+# the S_n x {+-1} orbit layer
+
+
+def _transposition_tables(side_masks, n):
+    """For each adjacent transposition (a, a+1) of positions, the list taking
+    hyperplane k to ``(k', flip)``: the swapped side of k is the side of k',
+    or its complement (``flip``) when the swap moves position 0 out of it."""
+    full = (1 << n) - 1
+    index_of = {mask: k for k, mask in enumerate(side_masks)}
+    tables = []
+    for a in range(n - 1):
+        swap = (1 << a) | (1 << (a + 1))
+        row = []
+        for mask in side_masks:
+            image = mask ^ swap if ((mask >> a) ^ (mask >> (a + 1))) & 1 else mask
+            row.append((index_of[image], False) if image & 1 else (index_of[full ^ image], True))
+        tables.append(row)
+    return tables
+
+
+def _bit_action(row):
+    """Compile a transposition table into a map on sign bits.
+
+    Bit k of the image is bit k' of the argument, complemented when ``flip``;
+    the bits are moved one byte at a time through 256-entry lookup tables.
+    """
+    dest = {src: k for k, (src, _) in enumerate(row)}
+    flips = sum(1 << k for k, (_, flip) in enumerate(row) if flip)
+    chunks = []
+    for lo in range(0, len(row), 8):
+        table = [0] * 256
+        for byte in range(1, 256):
+            low = (byte & -byte).bit_length() - 1
+            table[byte] = table[byte & (byte - 1)] | (1 << dest[lo + low] if lo + low in dest else 0)
+        chunks.append((lo, table))
+
+    def act(bits):
+        out = flips
+        for lo, table in chunks:
+            out ^= table[(bits >> lo) & 255]
+        return out
+
+    return act
+
+
+def _orbit(bits, actions, m, n):
+    """The S_n x {+-1} orbit of a sign vector.
+
+    Maps each member to the signed position map ``e`` that carries a witness
+    x of ``bits`` to a witness of the member: coordinate i of the image is
+    x[e_i - 1] for e_i > 0 and -x[-e_i - 1] for e_i < 0.
+    """
+    full = (1 << m) - 1
+    orbit = {bits: tuple(range(1, n + 1))}
+    stack = [bits]
+    while stack:
+        b = stack.pop()
+        e = orbit[b]
+        images = [(act(b), e[:a] + (e[a + 1], e[a]) + e[a + 2:]) for a, act in enumerate(actions)]
+        images.append((b ^ full, tuple(-v for v in e)))
+        for b2, e2 in images:
+            if b2 not in orbit:
+                orbit[b2] = e2
+                stack.append(b2)
+    return orbit
+
+
+def _primitive_lift(y):
+    """The primitive integer vector on the ray of the lifted sum-zero point."""
+    x = [Fraction(v) for v in tuple(y) + (-sum(y, ZERO),)]
+    den = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * den) for v in x]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints) if g else tuple(ints)
+
+
+def _side_sums(x):
+    """Sums of ``x`` over every set of positions, indexed by position mask."""
+    sums = [0]
+    for v in x:
+        sums += [s + v for s in sums]
+    return sums
+
+
+def _strict_table(side_masks, table) -> bool:
+    """Exact check of ``(bits, integer witness)`` pairs: every witness sums to
+    zero and lies strictly on its recorded side of every hyperplane."""
+    for bits, x in table:
+        sums = _side_sums(x)
+        if sums[-1] != 0:
+            return False
+        for k, mask in enumerate(side_masks):
+            v = sums[mask]
+            if v == 0 or (v > 0) != bool((bits >> k) & 1):
+                return False
+    return True
+
+
+def _sign_string(bits, m):
+    return "".join("+" if (bits >> k) & 1 else "-" for k in range(m))
+
+
 _CHAMBER_MEMO = {}
 
 
 def _enumerate_uncached(g: GroundSet):
+    """Orbit walk: the sign-chamber walk over orbit representatives only."""
     n = len(g)
     if n == 0:
         return [AdjointChamber(g, "", ratgeom.Point(g, ()))]
     functionals = _reduced_functionals(g)
+    side_masks = _side_masks(g)
+    m = len(side_masks)
     dim = n - 1
+    actions = [_bit_action(row) for row in _transposition_tables(side_masks, n)]
+    orbits = {}  # first member met -> its orbit
+    known = set()  # members of every orbit met so far, realizable or not
+
+    def open_orbit(bits):
+        orbits[bits] = _orbit(bits, actions, m, n)
+        known.update(orbits[bits])
+
+    closure_ok = _pre_adjoint_neighbor_filter(g)
+
+    def neighbor_ok(bits, j):
+        # by equivariance a whole orbit is realizable exactly when one member
+        # is, so the ladder decides each orbit once, at its first member
+        if (bits ^ (1 << j)) in known or not closure_ok(bits, j):
+            return False
+        open_orbit(bits ^ (1 << j))
+        return True
+
     seed = _generic_seed(functionals, dim, recenter=True) if dim else ()
-    table = enumerate_sign_chambers(
-        functionals, dim, seed=seed, neighbor_ok=_pre_adjoint_neighbor_filter(g)
-    )
-    m = len(functionals)
-    chambers = []
-    for bits, w in table.items():
-        signs = "".join("+" if (bits >> k) & 1 else "-" for k in range(m))
-        chambers.append(AdjointChamber(g, signs, _lift_witness(g, w)))
+    open_orbit(_sign_bits(functionals, seed))
+    representatives = enumerate_sign_chambers(functionals, dim, seed=seed, neighbor_ok=neighbor_ok)
+    table = []
+    for rep, y in representatives.items():
+        x = _primitive_lift(y)
+        for bits, e in orbits[rep].items():
+            table.append((bits, tuple(x[v - 1] if v > 0 else -x[-v - 1] for v in e)))
+    if not _strict_table(side_masks, table):
+        raise AssertionError("internal error: orbit witness failed the strictness check")
+    chambers = [AdjointChamber(g, _sign_string(bits, m), ratgeom.Point(g, x)) for bits, x in table]
     chambers.sort(key=lambda c: c.signs)
     return chambers
 
@@ -334,8 +481,8 @@ def _write_cache(path: Path, g: GroundSet, chambers):
     header = {
         "format": CACHE_FORMAT,
         "n": len(g),
-        "labels": [str(x) for x in g.labels],
-        "hyperplanes": [[str(x) for x in tb.S] for tb in hyperplane_splits(g)],
+        "count": len(chambers),
+        "side_masks": _side_masks(g),
     }
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
@@ -355,33 +502,39 @@ def _write_cache(path: Path, g: GroundSet, chambers):
 
 
 def _read_cache(path: Path, g: GroundSet):
+    """The cached table relabelled onto ``g``, or None unless it is exactly valid.
+
+    The header is checked by position (n and the side masks), the signs must
+    be distinct strict sign strings in increasing order, as many as the
+    header's ``count``, and every witness an integer vector that passes the
+    exact strictness check.
+    """
     if not path.exists():
         return None
+    n = len(g)
+    side_masks = _side_masks(g)
+    m = len(side_masks)
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
         header = json.loads(lines[0])
-        if header.get("format") != CACHE_FORMAT or header.get("n") != len(g):
+        if (header["format"], header["n"], header["side_masks"]) != (CACHE_FORMAT, n, side_masks):
             return None
-        if header.get("labels") != [str(x) for x in g.labels]:
+        records = [json.loads(line) for line in lines[1:]]
+        signs = [rec["signs"] for rec in records]
+        if len(signs) != header["count"] or any(a >= b for a, b in zip(signs, signs[1:])):
             return None
-        expected = [[str(x) for x in tb.S] for tb in hyperplane_splits(g)]
-        if header.get("hyperplanes") != expected:
+        table = []
+        for s, rec in zip(signs, records):
+            bits = sum(1 << k for k, c in enumerate(s) if c == "+")
+            x = [parse_rat(v) for v in rec["witness"]]
+            if _sign_string(bits, m) != s or len(x) != n or any(v.denominator != 1 for v in x):
+                return None
+            table.append((bits, tuple(int(v) for v in x)))
+        if not _strict_table(side_masks, table):
             return None
-        chambers = []
-        for line in lines[1:]:
-            rec = json.loads(line)
-            witness = ratgeom.Point(g, tuple(parse_rat(v) for v in rec["witness"]))
-            chambers.append(AdjointChamber(g, rec["signs"], witness))
-        # sanity: witnesses must reproduce the recorded signs exactly
-        splits = hyperplane_splits(g)
-        for ch in chambers:
-            for s, tb in zip(ch.signs, splits):
-                v = ratgeom.pair(ch.witness, tb.weight_vector())
-                if v == 0 or (v > 0) != (s == "+"):
-                    return None
-        return chambers
-    except (ValueError, KeyError, IndexError, json.JSONDecodeError):
+        return [AdjointChamber(g, s, ratgeom.Point(g, x)) for s, (_, x) in zip(signs, table)]
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError):
         return None
 
 
@@ -390,7 +543,8 @@ def enumerate_chambers(g: GroundSet, max_n: int = None, cache_dir=None, use_disk
 
     Results are memoized per ground set; with ``use_disk_cache`` the table is
     also persisted as JSON lines under the cache directory (environment
-    variable STEINMANN_CACHE_DIR overrides the default location).
+    variable STEINMANN_CACHE_DIR overrides the default location), one file
+    per ground-set size.
     """
     n = len(g)
     if max_n is None:

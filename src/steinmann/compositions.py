@@ -390,13 +390,3 @@ def relabel(x, mapping: dict):
         )
     raise DomainError(f"cannot relabel object of type {type(x).__name__}")
 
-
-def partition_leq(p: SetPartition, q: SetPartition) -> bool:
-    """True iff ``p`` is obtained from ``q`` by merging blocks (p coarser)."""
-    if p.ground != q.ground:
-        raise GroundMismatchError("partition comparison requires equal grounds")
-    containing = {}
-    for block in p.blocks:
-        for x in block:
-            containing[x] = block
-    return all(set(qb) <= set(containing[qb[0]]) for qb in q.blocks)

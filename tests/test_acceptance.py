@@ -2,12 +2,10 @@
 
 Each test prints a single ``ACCEPTANCE k (<name>): PASS`` line on success
 (run pytest with ``-s`` to see them); a failed assertion marks the criterion
-red.  The optional n=6 enumeration (criterion 1) runs only when the
-environment variable STEINMANN_RUN_N6 is set.
+red.
 """
 
 import itertools
-import os
 import random
 import time
 
@@ -58,14 +56,11 @@ def test_criterion_1_counting():
     elapsed = time.time() - t0
     assert elapsed < 60, f"n=5 enumeration took {elapsed:.1f}s"
 
-    if os.environ.get("STEINMANN_RUN_N6"):
-        t0 = time.time()
-        assert arr.chamber_count(co.standard_ground(6), use_disk_cache=False) == 11292
-        elapsed6 = time.time() - t0
-        assert elapsed6 < 900, f"n=6 enumeration took {elapsed6:.1f}s"
-        detail = f"n=5 in {elapsed:.1f}s, n=6 in {elapsed6:.1f}s"
-    else:
-        detail = f"n=5 in {elapsed:.1f}s, n=6 skipped (set STEINMANN_RUN_N6)"
+    t0 = time.time()
+    assert arr.chamber_count(co.standard_ground(6), use_disk_cache=False) == 11292
+    elapsed6 = time.time() - t0
+    assert elapsed6 < 60, f"n=6 enumeration took {elapsed6:.1f}s"
+    detail = f"n=5 in {elapsed:.1f}s, n=6 in {elapsed6:.1f}s"
     _report(1, f"counting; {detail}")
 
 

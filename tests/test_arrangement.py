@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -102,6 +103,86 @@ class TestCache:
         assert len(chambers) == 32
         assert json.loads(path.read_text().splitlines()[0])["format"] == arr.CACHE_FORMAT
         arr.clear_memo()
+
+
+    @pytest.mark.parametrize("poison", ["truncated", "duplicated", "zero-denominator", "non-object"])
+    def test_poisoned_cache_is_regenerated(self, tmp_path, poison):
+        g = co.standard_ground(4)
+        arr.clear_memo()
+        arr.enumerate_chambers(g, cache_dir=tmp_path)
+        path = arr._cache_path(tmp_path, g)
+        lines = path.read_text().splitlines()
+        if poison == "truncated":
+            lines = lines[:-5]
+        elif poison == "duplicated":
+            lines.insert(3, lines[3])
+        elif poison == "zero-denominator":
+            rec = json.loads(lines[3])
+            rec["witness"][0] = "1/0"
+            lines[3] = json.dumps(rec)
+        else:
+            lines[3] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        assert arr._read_cache(path, g) is None
+        arr.clear_memo()
+        assert arr.chamber_count(g, cache_dir=tmp_path) == 32
+        assert len(arr._read_cache(path, g)) == 32
+        arr.clear_memo()
+
+    def test_relabelled_grounds_share_one_file(self, tmp_path, monkeypatch):
+        writes = []
+        write = arr._write_cache
+        monkeypatch.setattr(arr, "_write_cache", lambda *a: writes.append(a) or write(*a))
+        tables = []
+        for labels in (["1", "2", "3", "4"], ["1", "2", "3", "5"], ["1", "2", "3", "4"]):
+            arr.clear_memo()
+            tables.append(arr.enumerate_chambers(co.ground(labels), cache_dir=tmp_path))
+        arr.clear_memo()
+        assert len(writes) == 1
+        assert tables[1][0].ground.labels == ("1", "2", "3", "5")
+        assert [c.signs for c in tables[1]] == [c.signs for c in tables[0]]
+        assert [c.witness.coords for c in tables[2]] == [c.witness.coords for c in tables[0]]
+
+
+def _bits(signs):
+    return sum(1 << k for k, c in enumerate(signs) if c == "+")
+
+
+class TestOrbitWalk:
+    """The orbit walk against the plain sign-chamber walk, which it replaces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_plain_walk(self, n):
+        g = co.standard_ground(n)
+        plain = arr.enumerate_sign_chambers(
+            arr._reduced_functionals(g), n - 1, neighbor_ok=arr._pre_adjoint_neighbor_filter(g)
+        )
+        assert sorted(_bits(c.signs) for c in arr._enumerate_uncached(g)) == sorted(plain)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_witnesses_are_primitive_integer_vectors(self, n):
+        g = co.standard_ground(n)
+        splits = arr.hyperplane_splits(g)
+        for ch in arr._enumerate_uncached(g):
+            coords = ch.witness.coords
+            assert all(v.denominator == 1 for v in coords)
+            assert math.gcd(*(int(v) for v in coords)) == 1
+            assert ch.witness.sums_to_zero()
+            for s, tb in zip(ch.signs, splits):
+                v = rg.pair(ch.witness, tb.weight_vector())
+                assert v != 0 and (v > 0) == (s == "+")
+
+    def test_n6_has_11292_strict_chambers(self):
+        g = co.standard_ground(6)
+        sides = [[g.position(x) for x in tb.S] for tb in arr.hyperplane_splits(g)]
+        chambers = arr.enumerate_chambers(g)
+        assert len({c.signs for c in chambers}) == len(chambers) == 11292
+        for ch in chambers:
+            x = ch.witness.coords
+            assert sum(x) == 0
+            for s, side in zip(ch.signs, sides):
+                v = sum(x[i] for i in side)
+                assert v != 0 and (v > 0) == (s == "+")
 
 
 class TestGenericCore:
