@@ -56,7 +56,7 @@ from . import ratgeom
 from .compositions import GroundSet
 from .errors import ResourceBoundError
 from .preposets import AdjointFamily, two_block
-from .rat import ZERO, rat, rat_str, parse_rat
+from .rat import ZERO, rat, rat_str
 
 CACHE_FORMAT = 2
 CACHE_ENV = "STEINMANN_CACHE_DIR"
@@ -421,6 +421,7 @@ def _sign_string(bits, m):
 
 
 _CHAMBER_MEMO = {}
+_INDEX_MEMO = {}  # labels -> chamber_index of _CHAMBER_MEMO[labels]
 
 
 def _enumerate_uncached(g: GroundSet):
@@ -527,8 +528,8 @@ def _read_cache(path: Path, g: GroundSet):
         table = []
         for s, rec in zip(signs, records):
             bits = sum(1 << k for k, c in enumerate(s) if c == "+")
-            x = [parse_rat(v) for v in rec["witness"]]
-            if _sign_string(bits, m) != s or len(x) != n or any(v.denominator != 1 for v in x):
+            x = rec["witness"]
+            if _sign_string(bits, m) != s or len(x) != n or not all(type(v) is str for v in x):
                 return None
             table.append((bits, tuple(int(v) for v in x)))
         if not _strict_table(side_masks, table):
@@ -574,10 +575,18 @@ def chamber_count(g: GroundSet, **kw) -> int:
 
 
 def chamber_index(g: GroundSet, **kw) -> dict:
-    """Mapping sign string -> chamber."""
-    return {ch.signs: ch for ch in enumerate_chambers(g, **kw)}
+    """Mapping sign string -> chamber.
+
+    Memoized beside the chamber table it indexes; every caller shares the
+    returned dict and only reads it.
+    """
+    chambers = enumerate_chambers(g, **kw)  # enforces the size bound on every call
+    if g.labels not in _INDEX_MEMO:
+        _INDEX_MEMO[g.labels] = {ch.signs: ch for ch in chambers}
+    return _INDEX_MEMO[g.labels]
 
 
 def clear_memo():
     """Drop in-process chamber tables (used by determinism tests)."""
     _CHAMBER_MEMO.clear()
+    _INDEX_MEMO.clear()

@@ -9,65 +9,24 @@ diagonal in the face basis because faces have disjoint supports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import preposets as pp
 from . import ratgeom
-from .compositions import GroundSet, SetComposition, enumerate_compositions
+from .compositions import SetComposition, enumerate_compositions
 from .errors import DomainError, GroundMismatchError
+from .lincomb import LinComb, check_keys_over
 from .preposets import Preposet
-from .rat import ONE, ZERO, as_rat, rat
+from .rat import ONE, ZERO, rat
 
 
-@dataclass(frozen=True)
-class PwcFunction:
+class PwcFunction(LinComb):
     """Face-basis coordinates of a piecewise-constant function."""
 
-    ground: GroundSet
-    coeffs: dict = field(compare=False)
+    __slots__ = ()
+    label_names = ("ground",)
+    coeffs = property(lambda self: self.terms, doc="face -> nonzero value")
 
-    def __post_init__(self):
-        coeffs = {}
-        for key, value in self.coeffs.items():
-            value = as_rat(value)
-            if value == 0:
-                continue
-            if key.ground != self.ground:
-                raise GroundMismatchError("face key ground mismatch")
-            coeffs[key] = value
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PwcFunction)
-            and self.ground == other.ground
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])))))
-
-    def __add__(self, other: "PwcFunction") -> "PwcFunction":
-        if self.ground != other.ground:
-            raise GroundMismatchError("function grounds differ")
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, ZERO) + v
-        return PwcFunction(self.ground, coeffs)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PwcFunction":
-        c = as_rat(c)
-        return PwcFunction(self.ground, {k: c * v for k, v in self.coeffs.items()})
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"{v}*face{k}" for k, v in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0]))
-        )
+    def _check_keys(self, keys):
+        check_keys_over(keys, self.ground, (SetComposition,))
 
 
 def braid_signature(lam: ratgeom.Point) -> SetComposition:

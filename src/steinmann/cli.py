@@ -19,12 +19,8 @@ from . import hopf
 from . import serialize as ser
 from . import verify, zie
 from .compositions import GroundSet, enumerate_compositions, enumerate_partitions, standard_ground
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .rat import rat_str
-
-
-class UsageError(Exception):
-    pass
 
 
 def _load_json(value: str):
@@ -222,21 +218,10 @@ def _cmd_zie(args):
             raise UsageError("zie cobracket needs --x and --split")
         d = ser.zie_dual_from_json(_load_json(args.x))
         split = _parse_split(d.ground, args.split)
-        tensor = zie.cobracket(d, split)
-        terms = sorted(tensor.items(), key=lambda kv: (kv[0][0].lumps, kv[0][1].lumps))
-        _emit(
-            {
-                "basis": d.basis,
-                "terms": [
-                    {
-                        "left": ser.composition_to_json(kl),
-                        "right": ser.composition_to_json(kr),
-                        "coeff": rat_str(v),
-                    }
-                    for (kl, kr), v in terms
-                ],
-            }
-        )
+        terms = zie.cobracket(d, split)
+        left, right = (d.ground.subset(side) for side in split)
+        doc = ser.tensor_to_json(hopf.TensorElement(left, right, d.basis, terms))
+        _emit({"basis": d.basis, "terms": doc["terms"]})
 
 
 def _cmd_steinmann(args):
@@ -261,16 +246,7 @@ def _cmd_steinmann(args):
         if coords is None:
             _emit({"steinmann": False, "coords": None})
         else:
-            items = sorted(coords.items(), key=lambda kv: kv[0].lumps)
-            _emit(
-                {
-                    "steinmann": True,
-                    "coords": [
-                        {"key": ser.composition_to_json(k), "coeff": rat_str(v)}
-                        for k, v in items
-                    ],
-                }
-            )
+            _emit({"steinmann": True, "coords": ser.term_list(coords)})
 
 
 def _dispatch(args):
@@ -336,13 +312,9 @@ def _dispatch(args):
     elif args.command == "expand":
         f = ser.functional_from_json(_load_json(args.f))
         coeffs = fn.comb_coefficients(f)
-        items = sorted(coeffs.items(), key=lambda kv: kv[0].lumps)
         _emit(
             {
-                "coefficients": [
-                    {"key": ser.composition_to_json(k), "coeff": rat_str(v)}
-                    for k, v in items
-                ],
+                "coefficients": ser.term_list(coeffs),
                 "reconstruction": ser.functional_to_json(
                     fn.reconstruct(f.ground, coeffs)
                 ),

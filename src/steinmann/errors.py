@@ -1,6 +1,13 @@
 """Exception types shared across the library."""
 
 
+class UsageError(Exception):
+    """A malformed request: bad flags, or JSON input of the wrong shape.
+
+    Messages about JSON input name the offending field.
+    """
+
+
 class DomainError(ValueError):
     """A structurally valid request that violates a mathematical precondition.
 

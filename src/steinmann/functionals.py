@@ -15,11 +15,15 @@ the four-term Steinmann relations.  This module materializes that picture:
   derivatives evaluated at Eulerian elements;
 * ``dynkin`` / ``egs_expansion`` produce the primitive element of a chamber
   in the H basis, by dual-basis evaluation and by the folded Tits product.
+
+``ChamberFunctional``, ``ChamberSum`` and ``FunctionalTensor`` are sparse
+combinations keyed by chamber sign strings, on the shared
+``lincomb.LinComb`` base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import arrangement as arr
@@ -35,154 +39,85 @@ from .compositions import (
     restrict,
 )
 from .errors import DomainError, GroundMismatchError
+from .lincomb import LinComb
 from .preposets import Preposet
 from .rat import ONE, ZERO, as_rat, rat
 from .zie import based_keys
 
 
-@dataclass(frozen=True)
-class ChamberFunctional:
-    """A rational value on every chamber of the arrangement over the ground."""
+def _check_chambers(signs, ground: GroundSet):
+    table = arr.chamber_index(ground)
+    for s in signs:
+        if s not in table:
+            raise DomainError(f"unknown chamber {s!r}")
 
-    ground: GroundSet
-    values: dict = field(compare=False)  # sign string -> value, all chambers present
 
-    def __post_init__(self):
-        table = arr.chamber_index(self.ground)
-        values = {}
-        for signs, v in self.values.items():
-            if signs not in table:
-                raise DomainError(f"unknown chamber {signs!r}")
-            values[signs] = as_rat(v)
-        for signs in table:
-            values.setdefault(signs, ZERO)
-        object.__setattr__(self, "values", values)
+class ChamberFunctional(LinComb):
+    """A rational value on every chamber of the arrangement over the ground.
 
-    def __call__(self, chamber) -> object:
+    ``terms`` holds the nonzero values by sign string; ``values`` is the
+    total table, with a zero for every other chamber.
+    """
+
+    __slots__ = ("_values",)
+    label_names = ("ground",)
+
+    def _check_keys(self, keys):
+        _check_chambers(keys, self.ground)
+
+    @property
+    def values(self) -> dict:
+        """Sign string -> value for every chamber; built once, read-only."""
+        try:
+            return self._values
+        except AttributeError:
+            values = {s: self.terms.get(s, ZERO) for s in arr.chamber_index(self.ground)}
+            object.__setattr__(self, "_values", values)
+            return values
+
+    def __call__(self, chamber):
         signs = chamber.signs if isinstance(chamber, arr.AdjointChamber) else chamber
         return self.values[signs]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChamberFunctional)
-            and self.ground == other.ground
-            and self.values == other.values
-        )
 
-    def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.values.items()))))
-
-    def __add__(self, other):
-        if self.ground != other.ground:
-            raise GroundMismatchError("functional grounds differ")
-        return ChamberFunctional(
-            self.ground, {k: v + other.values[k] for k, v in self.values.items()}
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = as_rat(c)
-        return ChamberFunctional(self.ground, {k: c * v for k, v in self.values.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values.values())
-
-    def __repr__(self):
-        items = ", ".join(f"{k}:{v}" for k, v in sorted(self.values.items()))
-        return f"Functional({items})"
-
-
-@dataclass(frozen=True)
-class ChamberSum:
+class ChamberSum(LinComb):
     """A formal rational combination of chambers (the dual side of the above)."""
 
-    ground: GroundSet
-    weights: dict = field(compare=False)  # sign string -> value, sparse
+    __slots__ = ()
+    label_names = ("ground",)
+    weights = property(lambda self: self.terms, doc="sign string -> nonzero weight")
 
-    def __post_init__(self):
-        table = arr.chamber_index(self.ground)
-        weights = {}
-        for signs, v in self.weights.items():
-            if signs not in table:
-                raise DomainError(f"unknown chamber {signs!r}")
-            v = as_rat(v)
-            if v != 0:
-                weights[signs] = v
-        object.__setattr__(self, "weights", weights)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ChamberSum)
-            and self.ground == other.ground
-            and self.weights == other.weights
-        )
-
-    def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.weights.items()))))
-
-    def __repr__(self):
-        items = " + ".join(f"{v}*[{k}]" for k, v in sorted(self.weights.items()))
-        return f"ChamberSum({items})"
+    def _check_keys(self, keys):
+        _check_chambers(keys, self.ground)
 
 
 def evaluate(f: ChamberFunctional, e: ChamberSum):
     if f.ground != e.ground:
         raise GroundMismatchError("evaluation grounds differ")
-    return sum((f.values[s] * w for s, w in e.weights.items()), ZERO)
+    return sum((f.coeff(s) * w for s, w in e.weights.items()), ZERO)
 
 
-@dataclass(frozen=True)
-class FunctionalTensor:
+class FunctionalTensor(LinComb):
     """Values over pairs (chamber over S, chamber over T); sparse storage."""
 
-    left_ground: GroundSet
-    right_ground: GroundSet
-    values: dict = field(compare=False)  # (signs_left, signs_right) -> value
+    __slots__ = ()
+    label_names = ("left_ground", "right_ground")
+    values = property(lambda self: self.terms, doc="(left signs, right signs) -> nonzero value")
 
-    def __post_init__(self):
+    def _check_keys(self, keys):
         left = arr.chamber_index(self.left_ground)
         right = arr.chamber_index(self.right_ground)
-        values = {}
-        for (a, b), v in self.values.items():
+        for a, b in keys:
             if a not in left or b not in right:
                 raise DomainError("unknown chamber pair")
-            v = as_rat(v)
-            if v != 0:
-                values[(a, b)] = v
-        object.__setattr__(self, "values", values)
 
     def value(self, a, b):
-        return self.values.get((a, b), ZERO)
+        return self.coeff((a, b))
 
     def swap(self) -> "FunctionalTensor":
-        return FunctionalTensor(
-            self.right_ground,
-            self.left_ground,
-            {(b, a): v for (a, b), v in self.values.items()},
-        )
-
-    def scale(self, c):
-        c = as_rat(c)
-        return FunctionalTensor(
-            self.left_ground, self.right_ground, {k: c * v for k, v in self.values.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FunctionalTensor)
-            and self.left_ground == other.left_ground
-            and self.right_ground == other.right_ground
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.left_ground, self.right_ground, tuple(sorted(self.values.items())))
+        left, right = self.labels
+        return FunctionalTensor._trusted(
+            (right, left), {(b, a): v for (a, b), v in self.terms.items()}
         )
 
     def contract_right(self, e: ChamberSum) -> ChamberFunctional:
@@ -190,7 +125,7 @@ class FunctionalTensor:
         if e.ground != self.right_ground:
             raise GroundMismatchError("contraction ground mismatch")
         out = {}
-        for (a, b), v in self.values.items():
+        for (a, b), v in self.terms.items():
             w = e.weights.get(b)
             if w is not None:
                 out[a] = out.get(a, ZERO) + v * w
@@ -218,8 +153,8 @@ def c_functional(p: Preposet) -> ChamberFunctional:
             requirements.append((index[tb.T], "-"))
     values = {}
     for ch in arr.enumerate_chambers(g):
-        ok = all(ch.signs[i] == s for i, s in requirements)
-        values[ch.signs] = ONE if ok else ZERO
+        if all(ch.signs[i] == s for i, s in requirements):
+            values[ch.signs] = ONE
     return ChamberFunctional(g, values)
 
 
@@ -285,7 +220,7 @@ class SteinmannRelation:
     face: arr.AdjointFace
 
     def apply(self, f: ChamberFunctional):
-        return sum((as_rat(c) * f.values[s] for s, c in self.entries), ZERO)
+        return sum((as_rat(c) * f.coeff(s) for s, c in self.entries), ZERO)
 
 
 def _crossing(tb1, tb2) -> bool:
@@ -529,9 +464,7 @@ def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
             key_minus = "".join(signs_minus)
             if key_plus not in table or key_minus not in table:
                 raise AssertionError("perturbed points left the chamber table")
-            v = f.values[key_plus] - f.values[key_minus]
-            if v != 0:
-                values[(ch_s.signs, ch_t.signs)] = v
+            values[(ch_s.signs, ch_t.signs)] = f.values[key_plus] - f.values[key_minus]
     return FunctionalTensor(left_g, right_g, values)
 
 
@@ -548,12 +481,8 @@ def c_derivative_formula(f_comp: SetComposition, split) -> FunctionalTensor:
     def add_product(fs: SetComposition, ft: SetComposition, sign):
         cs = c_functional(pp.preposet_of(fs))
         ct = c_functional(pp.preposet_of(ft))
-        for a, va in cs.values.items():
-            if va == 0:
-                continue
-            for b, vb in ct.values.items():
-                if vb == 0:
-                    continue
+        for a, va in cs.terms.items():
+            for b, vb in ct.terms.items():
                 key = (a, b)
                 values[key] = values.get(key, ZERO) + sign * va * vb
 
@@ -589,8 +518,7 @@ def _eulerian_cached(labels: tuple):
     sol = ratgeom.solve(rows, rhs)
     if sol is None:
         raise AssertionError("Eulerian defining system must be consistent")
-    weights = {chambers[i].signs: sol[i] for i in range(len(chambers)) if sol[i] != 0}
-    return ChamberSum(g, weights)
+    return ChamberSum(g, {ch.signs: v for ch, v in zip(chambers, sol)})
 
 
 def eulerian_element(g: GroundSet) -> ChamberSum:
@@ -644,7 +572,7 @@ def uniform_eulerian_search(g: GroundSet, count: int):
         if all(v in (ZERO, target) for v in full) and sum(
             1 for v in full if v == target
         ) == count:
-            return ChamberSum(g, {chambers[i].signs: full[i] for i in range(len(chambers)) if full[i] != 0})
+            return ChamberSum(g, {ch.signs: v for ch, v in zip(chambers, full)})
     return None
 
 
@@ -697,13 +625,8 @@ def reconstruct(g: GroundSet, coeffs: dict) -> ChamberFunctional:
 
 def dynkin(ch: arr.AdjointChamber) -> hopf.BasisElement:
     """The primitive element of a chamber: m-functional values against H keys."""
-    g = ch.ground
-    terms = {}
-    for f in enumerate_compositions(g):
-        v = m_functional(f).values[ch.signs]
-        if v != 0:
-            terms[f] = v
-    return hopf.BasisElement(g, "H", terms)
+    terms = {f: m_functional(f).coeff(ch.signs) for f in enumerate_compositions(ch.ground)}
+    return hopf.BasisElement(ch.ground, "H", terms)
 
 
 def egs_expansion(ch: arr.AdjointChamber) -> hopf.BasisElement:

@@ -6,11 +6,12 @@ deconcatenation.  Its dual (bases H, Q) is cocommutative: multiplication is
 concatenation and comultiplication restricts (H) or deshuffles (Q).  All
 coefficients are exact rationals.
 
-Elements are sparse: a ground set, a basis tag, and a mapping from keys to
-nonzero coefficients.  Keys are set compositions, except in the C basis where
-genuine preposet keys are allowed as well; those normalize on demand to
-composition keys through an alternating-sign expansion, so every operation
-can assume composition keys internally.
+Elements are sparse combinations on the shared ``lincomb.LinComb`` base: a
+ground set, a basis tag, and a mapping from keys to nonzero coefficients.
+Keys are set compositions, except in the C basis where genuine preposet keys
+are allowed as well; those normalize on demand to composition keys through an
+alternating-sign expansion, so every operation can assume composition keys
+internally.
 
 The Tits product (refining one composition by another) and the primitive
 series expansion in the H basis live here too, since both are expressed
@@ -18,8 +19,6 @@ directly in these bases.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import preposets as pp
 from .compositions import (
@@ -34,6 +33,7 @@ from .compositions import (
     restrict,
 )
 from .errors import DomainError, GroundMismatchError
+from .lincomb import LinComb, check_keys_over, extend_linearly
 from .preposets import Preposet
 from .rat import ONE, ZERO, as_rat, rat
 
@@ -41,92 +41,19 @@ DUAL_SIDE = {"M": "sigma*", "P": "sigma*", "C": "sigma*", "H": "sigma", "Q": "si
 BASES = tuple(DUAL_SIDE)
 
 
-def _clean(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v != 0}
-
-
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(LinComb):
     """A rational linear combination of basis keys, tagged by its basis."""
 
-    ground: GroundSet
-    basis: str
-    terms: dict = field(compare=False)
-    _frozen_terms: tuple = field(default=None, repr=False)
+    __slots__ = ()
+    label_names = ("ground", "basis")
 
-    def __post_init__(self):
-        if self.basis not in BASES:
-            raise DomainError(f"unknown basis tag {self.basis!r}")
-        terms = {}
-        for key, coeff in self.terms.items():
-            coeff = as_rat(coeff)
-            if coeff == 0:
-                continue
-            if isinstance(key, Preposet):
-                if self.basis != "C":
-                    raise DomainError("preposet keys are only allowed in the C basis")
-                if key.ground != self.ground:
-                    raise GroundMismatchError("key ground mismatch")
-            elif isinstance(key, SetComposition):
-                if key.ground != self.ground:
-                    raise GroundMismatchError("key ground mismatch")
-            else:
-                raise DomainError(f"invalid key type {type(key).__name__}")
-            terms[key] = coeff
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(
-            self, "_frozen_terms", tuple(sorted(terms.items(), key=lambda kv: repr(kv[0])))
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BasisElement)
-            and self.ground == other.ground
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ground, self.basis, self._frozen_terms))
-
-    def coeff(self, key):
-        return self.terms.get(key, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "BasisElement") -> "BasisElement":
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + v
-        return BasisElement(self.ground, self.basis, _clean(terms))
-
-    def __sub__(self, other: "BasisElement") -> "BasisElement":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "BasisElement":
-        c = as_rat(c)
-        return BasisElement(self.ground, self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def _check_compatible(self, other):
-        if not isinstance(other, BasisElement):
-            raise DomainError("expected a BasisElement")
-        if self.ground != other.ground:
-            raise GroundMismatchError("element grounds differ")
-        if self.basis != other.basis:
-            raise DomainError("element bases differ; convert first")
-
-    def __repr__(self):
-        if not self.terms:
-            return f"0[{self.basis}]"
-        bits = []
-        for key, coeff in self._frozen_terms:
-            bits.append(f"{coeff}*{self.basis}_{key}")
-        return " + ".join(bits)
+    def _check_keys(self, keys):
+        ground, basis = self.labels
+        if basis not in BASES:
+            raise DomainError(f"unknown basis tag {basis!r}")
+        if basis != "C" and any(isinstance(key, Preposet) for key in keys):
+            raise DomainError("preposet keys are only allowed in the C basis")
+        check_keys_over(keys, ground, (SetComposition, Preposet))
 
 
 def element(ground: GroundSet, basis: str, terms: dict) -> BasisElement:
@@ -147,61 +74,23 @@ def unit(basis: str) -> BasisElement:
     return basis_vector(basis, SetComposition(g, ()))
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(LinComb):
     """A rational combination of key pairs over a two-sided ground split."""
 
-    left_ground: GroundSet
-    right_ground: GroundSet
-    basis: str
-    terms: dict = field(compare=False)
+    __slots__ = ()
+    label_names = ("left_ground", "right_ground", "basis")
 
-    def __post_init__(self):
-        terms = {}
-        for (kl, kr), coeff in self.terms.items():
-            coeff = as_rat(coeff)
-            if coeff == 0:
-                continue
-            if kl.ground != self.left_ground or kr.ground != self.right_ground:
+    def _check_keys(self, keys):
+        left, right, _ = self.labels
+        for kl, kr in keys:
+            if kl.ground != left or kr.ground != right:
                 raise GroundMismatchError("tensor key grounds mismatch")
-            terms[(kl, kr)] = coeff
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.left_ground == other.left_ground
-            and self.right_ground == other.right_ground
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.left_ground,
-                self.right_ground,
-                self.basis,
-                tuple(sorted(self.terms.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1])))),
-            )
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def swap(self) -> "TensorElement":
-        return TensorElement(
-            self.right_ground,
-            self.left_ground,
-            self.basis,
-            {(kr, kl): v for (kl, kr), v in self.terms.items()},
+        left, right, basis = self.labels
+        return TensorElement._trusted(
+            (right, left, basis), {(kr, kl): v for (kl, kr), v in self.terms.items()}
         )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0⊗0"
-        bits = [f"{v}*({kl} ⊗ {kr})" for (kl, kr), v in self.terms.items()]
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +169,10 @@ def normalize_c_keys(x: BasisElement) -> BasisElement:
     """Rewrite preposet C-keys as composition C-keys."""
     if x.basis != "C":
         return x
-    terms = {}
-    for key, coeff in x.terms.items():
-        if isinstance(key, SetComposition):
-            terms[key] = terms.get(key, ZERO) + coeff
-        else:
-            for g_comp, sign in preposet_expansion(key).items():
-                terms[g_comp] = terms.get(g_comp, ZERO) + coeff * sign
-    return BasisElement(x.ground, "C", _clean(terms))
+    terms = extend_linearly(
+        x.terms, lambda k: {k: ONE} if isinstance(k, SetComposition) else preposet_expansion(k)
+    )
+    return BasisElement(x.ground, "C", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +206,7 @@ def _convert_key(key: SetComposition, src: str, dst: str) -> dict:
             _, fact = quotient_factors(key, g_comp)
             for k2, v2 in _convert_key(g_comp, "M", "P").items():
                 out[k2] = out.get(k2, ZERO) - rat(1, fact) * v2
-        return _clean(out)
+        return out
     if src == "H" and dst == "Q":
         out = {}
         for g_comp in finer_compositions(key):
@@ -335,12 +220,7 @@ def _convert_key(key: SetComposition, src: str, dst: str) -> dict:
             out[g_comp] = as_rat((-1) ** (len(g_comp) - len(key))) / l
         return out
     if src in ("P", "C") and dst in ("P", "C"):
-        via = _convert_key(key, src, "M")
-        out = {}
-        for k1, v1 in via.items():
-            for k2, v2 in _convert_key(k1, "M", dst).items():
-                out[k2] = out.get(k2, ZERO) + v1 * v2
-        return _clean(out)
+        return extend_linearly(_convert_key(key, src, "M"), lambda k: _convert_key(k, "M", dst))
     raise DomainError(f"no conversion from {src} to {dst}")
 
 
@@ -353,11 +233,8 @@ def change_basis(x: BasisElement, target: str) -> BasisElement:
     x = normalize_c_keys(x)
     if x.basis == target:
         return x
-    terms = {}
-    for key, coeff in x.terms.items():
-        for k2, v2 in _convert_key(key, x.basis, target).items():
-            terms[k2] = terms.get(k2, ZERO) + coeff * v2
-    return BasisElement(x.ground, target, _clean(terms))
+    terms = extend_linearly(x.terms, lambda k: _convert_key(k, x.basis, target))
+    return BasisElement(x.ground, target, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +271,7 @@ def multiply(a: BasisElement, b: BasisElement) -> BasisElement:
                     add(h, c * (-1) ** (total - len(h)))
             else:  # H and Q multiply by concatenation
                 add(concat(fk, gk), c)
-    return BasisElement(new_ground, basis, _clean(terms))
+    return BasisElement(new_ground, basis, terms)
 
 
 def _is_initial(f: SetComposition, s: set) -> bool:
@@ -439,20 +316,10 @@ def comultiply(x: BasisElement, split) -> TensorElement:
 def antipode(x: BasisElement) -> BasisElement:
     """The antipode, via the closed alternating formulas in the M and H bases."""
     if x.basis in ("M", "P", "C"):
-        m = change_basis(x, "M")
-        terms = {}
-        for key, coeff in m.terms.items():
-            sign = as_rat((-1) ** len(key))
-            for g_comp in coarser_compositions(opposite(key)):
-                terms[g_comp] = terms.get(g_comp, ZERO) + sign * coeff
-        out = BasisElement(x.ground, "M", _clean(terms))
+        basis, image = "M", lambda k: {g: (-1) ** len(k) for g in coarser_compositions(opposite(k))}
     else:
-        h = change_basis(x, "H")
-        terms = {}
-        for key, coeff in h.terms.items():
-            for g_comp in finer_compositions(opposite(key)):
-                terms[g_comp] = terms.get(g_comp, ZERO) + coeff * (-1) ** len(g_comp)
-        out = BasisElement(x.ground, "H", _clean(terms))
+        basis, image = "H", lambda k: {g: (-1) ** len(g) for g in finer_compositions(opposite(k))}
+    out = BasisElement(x.ground, basis, extend_linearly(change_basis(x, basis).terms, image))
     return change_basis(out, x.basis)
 
 
@@ -500,7 +367,7 @@ def tits_h(a: BasisElement, b: BasisElement) -> BasisElement:
         for gk, gv in b.terms.items():
             key = tits(fk, gk)
             terms[key] = terms.get(key, ZERO) + fv * gv
-    return BasisElement(a.ground, "H", _clean(terms))
+    return BasisElement(a.ground, "H", terms)
 
 
 def eulerian_series(g: GroundSet) -> BasisElement:

@@ -44,12 +44,18 @@ def parse_rat(s: str):
     return rat(int(s))
 
 
+_RAT_TYPE = type(ZERO)
+
+
 def as_rat(x):
-    """Coerce ints, Fractions, mpqs and ``p/q`` strings to the rational backend."""
+    """Coerce ints, Fractions, mpqs and ``p/q`` strings to the rational backend.
+
+    A value already of the backend's type is returned as it is.
+    """
+    if type(x) is _RAT_TYPE:
+        return x
     if isinstance(x, str):
         return parse_rat(x)
     if isinstance(x, Fraction):
         return rat(x.numerator, x.denominator)
-    if isinstance(x, int):
-        return rat(x)
-    return rat(x)  # already an mpq/Fraction of the active backend
+    return rat(x)

@@ -132,19 +132,20 @@ class LinearConstraintSystem:
 # dense simplex (Bland's rule, exact rationals)
 
 
-def _simplex(tableau, basis, ncols):
+def _simplex(tableau, basis, ncols, enter_limit=None):
     """Run primal simplex to optimality on a max-problem tableau.
 
     ``tableau`` has one list per constraint row ending in the rhs, plus an
     objective row of reduced costs (maximization: stop when all <= 0) whose
     last entry is the negated objective value.  ``basis`` maps constraint rows
-    to their basic columns.  Mutates in place; returns False iff unbounded.
+    to their basic columns.  Only the first ``enter_limit`` columns (default
+    all) may enter the basis.  Mutates in place; returns False iff unbounded.
     """
     m = len(tableau) - 1
     obj = tableau[m]
     while True:
         enter = -1
-        for j in range(ncols):
+        for j in range(ncols if enter_limit is None else enter_limit):
             if obj[j] > 0:  # Bland: first improving column
                 enter = j
                 break
@@ -159,21 +160,23 @@ def _simplex(tableau, basis, ncols):
                     best, leave = ratio, i
         if leave < 0:
             return False
-        piv_row = tableau[leave]
-        piv = piv_row[enter]
-        if piv != 1:
-            inv = ONE / piv
-            for j in range(ncols + 1):
-                piv_row[j] *= inv
-        for i in range(m + 1):
-            if i == leave:
-                continue
-            row = tableau[i]
-            f = row[enter]
-            if f != 0:
-                for j in range(ncols + 1):
-                    row[j] -= f * piv_row[j]
-        basis[leave] = enter
+        _pivot(tableau, basis, leave, enter)
+
+
+def _pivot(tableau, basis, leave, enter):
+    """Make column ``enter`` basic in row ``leave``, eliminating it elsewhere."""
+    piv_row = tableau[leave]
+    piv = piv_row[enter]
+    if piv != 1:
+        inv = ONE / piv
+        for j in range(len(piv_row)):
+            piv_row[j] *= inv
+    for i, row in enumerate(tableau):
+        f = row[enter]
+        if i != leave and f != 0:
+            for j in range(len(row)):
+                row[j] -= f * piv_row[j]
+    basis[leave] = enter
 
 
 def _solve_lp(A, b, c):
@@ -210,18 +213,8 @@ def _solve_lp(A, b, c):
     for i in range(m):
         if basis[i] >= n:
             enter = next((j for j in range(n) if tableau[i][j] != 0), None)
-            if enter is None:
-                continue  # redundant row
-            piv = tableau[i][enter]
-            inv = ONE / piv
-            for j in range(ncols + 1):
-                tableau[i][j] *= inv
-            for k in range(m + 1):
-                if k != i and tableau[k][enter] != 0:
-                    f = tableau[k][enter]
-                    for j in range(ncols + 1):
-                        tableau[k][j] -= f * tableau[i][j]
-            basis[i] = enter
+            if enter is not None:  # else the row is redundant
+                _pivot(tableau, basis, i, enter)
     # phase 2: real objective, artificial columns frozen
     obj2 = [as_rat(cj) for cj in c] + [ZERO] * m + [ZERO]
     for i in range(m):
@@ -230,8 +223,7 @@ def _solve_lp(A, b, c):
             for j in range(ncols + 1):
                 obj2[j] -= f * tableau[i][j]
     tableau[m] = obj2
-    ok = _simplex_phase2(tableau, basis, n, m)
-    if not ok:
+    if not _simplex(tableau, basis, ncols, enter_limit=n):
         return "unbounded", None, None
     z = [ZERO] * n
     for i in range(m):
@@ -239,44 +231,6 @@ def _solve_lp(A, b, c):
             z[basis[i]] = tableau[i][ncols]
     value = -tableau[m][ncols]
     return "optimal", value, z
-
-
-def _simplex_phase2(tableau, basis, n, m):
-    """Like _simplex but only the first ``n`` columns may enter."""
-    ncols = n + m
-    obj = tableau[m]
-    while True:
-        enter = -1
-        for j in range(n):
-            if obj[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return True
-        leave, best = -1, None
-        for i in range(m):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
-        if leave < 0:
-            return False
-        piv_row = tableau[leave]
-        piv = piv_row[enter]
-        if piv != 1:
-            inv = ONE / piv
-            for j in range(ncols + 1):
-                piv_row[j] *= inv
-        for i in range(m + 1):
-            if i == leave:
-                continue
-            row = tableau[i]
-            f = row[enter]
-            if f != 0:
-                for j in range(ncols + 1):
-                    row[j] -= f * piv_row[j]
-        basis[leave] = enter
 
 
 def feasible(system: LinearConstraintSystem):

@@ -11,7 +11,7 @@ from . import arrangement as arr
 from . import functionals as fn
 from . import hopf, zie
 from .compositions import GroundSet, SetComposition, SetPartition
-from .errors import DomainError
+from .errors import DomainError, UsageError
 from .preposets import AdjointFamily, Preposet, TwoBlock, preposet, two_block
 from .rat import parse_rat, rat_str
 from .ratgeom import Point
@@ -22,7 +22,31 @@ def ground_to_json(g: GroundSet):
 
 
 def ground_from_json(data) -> GroundSet:
+    if not isinstance(data, list) or not all(isinstance(x, (str, int)) for x in data):
+        raise UsageError(f"a ground must be a JSON array of string or integer labels, got {data!r}")
     return GroundSet(tuple(data))
+
+
+_JSON_KINDS = {list: "array", dict: "object", str: "string"}
+
+
+def _field(data, name: str, kind: type, path: str = ""):
+    """``data[name]`` of the given JSON kind, else a UsageError naming the field."""
+    where = f"{path}.{name}" if path else name
+    if not isinstance(data, dict):
+        raise UsageError(f"expected a JSON object holding {where!r}, got {type(data).__name__}")
+    if name not in data:
+        raise UsageError(f"missing field {where!r}")
+    if not isinstance(data[name], kind):
+        raise UsageError(f"field {where!r} must be a JSON {_JSON_KINDS[kind]}")
+    return data[name]
+
+
+def _coeff(text, where: str):
+    try:
+        return parse_rat(text)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        raise UsageError(f"field {where!r} must be a rational 'p/q' string, got {text!r}") from None
 
 
 def composition_to_json(f: SetComposition):
@@ -30,6 +54,8 @@ def composition_to_json(f: SetComposition):
 
 
 def composition_from_json(data, ground: GroundSet = None) -> SetComposition:
+    if not isinstance(data, list) or not all(isinstance(lump, list) for lump in data):
+        raise UsageError(f"a composition must be a JSON array of label arrays, got {data!r}")
     lumps = tuple(tuple(l) for l in data)
     if ground is None:
         ground = GroundSet(tuple(x for l in lumps for x in l))
@@ -55,8 +81,8 @@ def preposet_to_json(p: Preposet):
 
 
 def preposet_from_json(data) -> Preposet:
-    g = ground_from_json(data["ground"])
-    return preposet(g, [tuple(pair) for pair in data["pairs"]])
+    g = ground_from_json(_field(data, "ground", list))
+    return preposet(g, [tuple(pair) for pair in _field(data, "pairs", list)])
 
 
 def two_block_to_json(tb: TwoBlock):
@@ -110,22 +136,47 @@ def _key_sort(key):
     return (1, key.pairs())
 
 
+def term_list(terms: dict) -> list:
+    """Sorted ``{"key", "coeff"}`` entries of a key -> coefficient mapping."""
+    items = sorted(terms.items(), key=lambda kv: _key_sort(kv[0]))
+    return [{"key": _key_to_json(k), "coeff": rat_str(v)} for k, v in items]
+
+
+def _encode_terms(x, basis: str = None) -> dict:
+    """A term-list document: ground, optional basis tag, sorted key/coeff terms."""
+    doc = {"ground": ground_to_json(x.ground)}
+    if basis is not None:
+        doc["basis"] = basis
+    doc["terms"] = term_list(x.terms)
+    return doc
+
+
+def _decode_terms(data):
+    """The ground and the key -> coefficient terms of a term-list document.
+
+    Repeated keys add up.  A document of the wrong shape raises a UsageError
+    naming the field.
+    """
+    g = ground_from_json(_field(data, "ground", list))
+    terms = {}
+    for i, item in enumerate(_field(data, "terms", list)):
+        where = f"terms[{i}]"
+        raw = _field(item, "key", object, where)
+        try:
+            key = _key_from_json(raw, g)
+        except (KeyError, TypeError, UsageError):
+            raise UsageError(f"field '{where}.key' is not a composition or preposet") from None
+        terms[key] = terms.get(key, 0) + _coeff(_field(item, "coeff", str, where), f"{where}.coeff")
+    return g, terms
+
+
 def element_to_json(x: hopf.BasisElement):
-    terms = sorted(x.terms.items(), key=lambda kv: _key_sort(kv[0]))
-    return {
-        "ground": ground_to_json(x.ground),
-        "basis": x.basis,
-        "terms": [{"key": _key_to_json(k), "coeff": rat_str(v)} for k, v in terms],
-    }
+    return _encode_terms(x, x.basis)
 
 
 def element_from_json(data) -> hopf.BasisElement:
-    g = ground_from_json(data["ground"])
-    terms = {}
-    for item in data["terms"]:
-        key = _key_from_json(item["key"], g)
-        terms[key] = terms.get(key, 0) + parse_rat(item["coeff"])
-    return hopf.BasisElement(g, data["basis"], terms)
+    g, terms = _decode_terms(data)
+    return hopf.BasisElement(g, _field(data, "basis", str), terms)
 
 
 def tensor_to_json(t: hopf.TensorElement):
@@ -156,65 +207,30 @@ def tree_from_json(data) -> zie.Tree:
 
 
 def zie_to_json(z: zie.ZieElement):
-    terms = sorted(z.terms.items(), key=lambda kv: kv[0].lumps)
-    return {
-        "ground": ground_to_json(z.ground),
-        "terms": [{"key": composition_to_json(k), "coeff": rat_str(v)} for k, v in terms],
-    }
+    return _encode_terms(z)
 
 
 def zie_from_json(data) -> zie.ZieElement:
-    g = ground_from_json(data["ground"])
-    return zie.ZieElement(
-        g,
-        {
-            composition_from_json(item["key"], g): parse_rat(item["coeff"])
-            for item in data["terms"]
-        },
-    )
+    return zie.ZieElement(*_decode_terms(data))
 
 
 def zie_dual_to_json(d: zie.ZieDualElement):
-    terms = sorted(d.terms.items(), key=lambda kv: kv[0].lumps)
-    return {
-        "ground": ground_to_json(d.ground),
-        "basis": d.basis,
-        "terms": [{"key": composition_to_json(k), "coeff": rat_str(v)} for k, v in terms],
-    }
+    return _encode_terms(d, d.basis)
 
 
 def zie_dual_from_json(data) -> zie.ZieDualElement:
-    g = ground_from_json(data["ground"])
-    return zie.ZieDualElement(
-        g,
-        data["basis"],
-        {
-            composition_from_json(item["key"], g): parse_rat(item["coeff"])
-            for item in data["terms"]
-        },
-    )
+    g, terms = _decode_terms(data)
+    return zie.ZieDualElement(g, _field(data, "basis", str), terms)
 
 
 def pwc_to_json(f):
-    terms = sorted(f.coeffs.items(), key=lambda kv: kv[0].lumps)
-    return {
-        "ground": ground_to_json(f.ground),
-        "basis": "Mhat",
-        "terms": [{"key": composition_to_json(k), "coeff": rat_str(v)} for k, v in terms],
-    }
+    return _encode_terms(f, "Mhat")
 
 
 def pwc_from_json(data):
     from .braid import PwcFunction
 
-    g = ground_from_json(data["ground"])
-    return PwcFunction(
-        g,
-        {
-            composition_from_json(item["key"], g): parse_rat(item["coeff"])
-            for item in data["terms"]
-        },
-    )
+    return PwcFunction(*_decode_terms(data))
 
 
 def chamber_to_json(ch: arr.AdjointChamber):
@@ -231,9 +247,15 @@ def functional_to_json(f: fn.ChamberFunctional):
     }
 
 
+def _decode_signs(data, name: str):
+    """The ground and the sign string -> rational table in field ``name``."""
+    g = ground_from_json(_field(data, "ground", list))
+    table = _field(data, name, dict)
+    return g, {s: _coeff(v, f"{name}[{s!r}]") for s, v in table.items()}
+
+
 def functional_from_json(data) -> fn.ChamberFunctional:
-    g = ground_from_json(data["ground"])
-    return fn.ChamberFunctional(g, {k: parse_rat(v) for k, v in data["values"].items()})
+    return fn.ChamberFunctional(*_decode_signs(data, "values"))
 
 
 def chamber_sum_to_json(e: fn.ChamberSum):
@@ -244,8 +266,7 @@ def chamber_sum_to_json(e: fn.ChamberSum):
 
 
 def chamber_sum_from_json(data) -> fn.ChamberSum:
-    g = ground_from_json(data["ground"])
-    return fn.ChamberSum(g, {k: parse_rat(v) for k, v in data["weights"].items()})
+    return fn.ChamberSum(*_decode_signs(data, "weights"))
 
 
 def functional_tensor_to_json(t: fn.FunctionalTensor):

@@ -17,6 +17,7 @@ from . import hopf
 from . import preposets as pp
 from . import zie
 from .compositions import GroundSet, enumerate_compositions, standard_ground
+from .lincomb import extend_linearly
 from .rat import ONE, ZERO, rat
 
 
@@ -39,12 +40,12 @@ def _random_element(g: GroundSet, basis: str, rnd: random.Random, size=4) -> hop
 
 def _tensor_map(t: hopf.TensorElement, f) -> hopf.TensorElement:
     """Apply f to the left keys of a tensor (f returns a BasisElement)."""
-    terms = {}
-    for (kl, kr), v in t.terms.items():
-        img = f(hopf.basis_vector(t.basis, kl))
-        for k2, v2 in img.terms.items():
-            key = (k2, kr)
-            terms[key] = terms.get(key, ZERO) + v * v2
+
+    def image(pair):
+        kl, kr = pair
+        return {(k, kr): v for k, v in f(hopf.basis_vector(t.basis, kl)).terms.items()}
+
+    terms = extend_linearly(t.terms, image)
     return hopf.TensorElement(t.left_ground, t.right_ground, t.basis, terms)
 
 
@@ -288,7 +289,7 @@ def verify_steinmann(n: int, seed: int = 0, random_preposets: int = 50):
     rows = []
     for k in keys:
         cf = fn.c_functional(pp.preposet_of(k))
-        rows.append({pos[s]: v for s, v in cf.values.items() if v != 0})
+        rows.append({pos[s]: v for s, v in cf.terms.items()})
     rank_c = ratgeom.rank_sparse(rows)
     _check(
         checks,

@@ -16,7 +16,7 @@ and those values are computable by tree surgery (``p_eval``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hopf
 from .compositions import (
@@ -26,6 +26,7 @@ from .compositions import (
     restrict,
 )
 from .errors import DomainError, GroundMismatchError
+from .lincomb import LinComb, check_keys_over, extend_linearly
 from .rat import ONE, ZERO, as_rat
 
 
@@ -163,62 +164,22 @@ def zie_dimension(n: int) -> int:
     return sum(factorial(len(p) - 1) for p in parts)
 
 
-@dataclass(frozen=True)
-class ZieElement:
+def _check_comb_keys(keys, ground: GroundSet):
+    """Comb keys are compositions of ``ground`` with the basepoint in the first lump."""
+    check_keys_over(keys, ground, (SetComposition,))
+    i0 = ground.min_label() if len(ground) else None
+    if i0 is not None and any(i0 not in key.lumps[0] for key in keys):
+        raise DomainError("comb keys must contain the basepoint in the first lump")
+
+
+class ZieElement(LinComb):
     """Right-comb coordinates of a Lie element."""
 
-    ground: GroundSet
-    terms: dict = field(compare=False)
+    __slots__ = ()
+    label_names = ("ground",)
 
-    def __post_init__(self):
-        i0 = self.ground.min_label() if len(self.ground) else None
-        terms = {}
-        for key, coeff in self.terms.items():
-            coeff = as_rat(coeff)
-            if coeff == 0:
-                continue
-            if key.ground != self.ground:
-                raise GroundMismatchError("comb key ground mismatch")
-            if i0 is not None and i0 not in key.lumps[0]:
-                raise DomainError("comb keys must contain the basepoint in the first lump")
-            terms[key] = coeff
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZieElement)
-            and self.ground == other.ground
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ground, tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0])))))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.ground != other.ground:
-            raise GroundMismatchError("element grounds differ")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + v
-        return ZieElement(self.ground, terms)
-
-    def scale(self, c):
-        c = as_rat(c)
-        return ZieElement(self.ground, {k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{v}*[{k}]" for k, v in sorted(self.terms.items(), key=lambda kv: repr(kv[0])))
+    def _check_keys(self, keys):
+        _check_comb_keys(keys, self.ground)
 
 
 def _comb_bracket(f: SetComposition, g: SetComposition) -> dict:
@@ -283,73 +244,19 @@ def embed_U(z: ZieElement) -> hopf.BasisElement:
         for variant, sign in antisym(comb_tree(key)):
             dk = debracket(variant)
             terms[dk] = terms.get(dk, ZERO) + coeff * sign
-    return hopf.BasisElement(z.ground, "Q", {k: v for k, v in terms.items() if v != 0})
+    return hopf.BasisElement(z.ground, "Q", terms)
 
 
-@dataclass(frozen=True)
-class ZieDualElement:
+class ZieDualElement(LinComb):
     """Coordinates of a Lie coalgebra element over comb keys, in basis p, m or c."""
 
-    ground: GroundSet
-    basis: str
-    terms: dict = field(compare=False)
+    __slots__ = ()
+    label_names = ("ground", "basis")
 
-    def __post_init__(self):
+    def _check_keys(self, keys):
         if self.basis not in ("p", "m", "c"):
             raise DomainError(f"unknown dual basis tag {self.basis!r}")
-        i0 = self.ground.min_label() if len(self.ground) else None
-        terms = {}
-        for key, coeff in self.terms.items():
-            coeff = as_rat(coeff)
-            if coeff == 0:
-                continue
-            if key.ground != self.ground:
-                raise GroundMismatchError("key ground mismatch")
-            if i0 is not None and i0 not in key.lumps[0]:
-                raise DomainError("dual keys must contain the basepoint in the first lump")
-            terms[key] = coeff
-        object.__setattr__(self, "terms", terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ZieDualElement)
-            and self.ground == other.ground
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash(
-            (self.ground, self.basis, tuple(sorted(self.terms.items(), key=lambda kv: repr(kv[0]))))
-        )
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if self.ground != other.ground or self.basis != other.basis:
-            raise DomainError("dual element mismatch")
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            terms[k] = terms.get(k, ZERO) + v
-        return ZieDualElement(self.ground, self.basis, terms)
-
-    def scale(self, c):
-        c = as_rat(c)
-        return ZieDualElement(self.ground, self.basis, {k: c * v for k, v in self.terms.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        if not self.terms:
-            return f"0[{self.basis}]"
-        return " + ".join(
-            f"{v}*{self.basis}_{k}" for k, v in sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
-        )
+        _check_comb_keys(keys, self.ground)
 
 
 def _rebase_p_key(f: SetComposition) -> dict:
@@ -364,11 +271,7 @@ def _rebase_p_key(f: SetComposition) -> dict:
 
 def _project_to_p_terms(x: hopf.BasisElement) -> dict:
     """p-coordinates (over based comb keys) of the image of an element."""
-    px = hopf.change_basis(x, "P")
-    terms = {}
-    for key, coeff in px.terms.items():
-        for k2, v2 in _rebase_p_key(key).items():
-            terms[k2] = terms.get(k2, ZERO) + coeff * v2
+    terms = extend_linearly(hopf.change_basis(x, "P").terms, _rebase_p_key)
     return {k: v for k, v in terms.items() if v != 0}
 
 
@@ -400,11 +303,7 @@ def dual_change_basis(d: ZieDualElement, target: str) -> ZieDualElement:
         return d
     if d.basis != "p":
         mat = _dual_matrix(d.ground, d.basis)
-        terms = {}
-        for key, coeff in d.terms.items():
-            for k2, v2 in mat[key].items():
-                terms[k2] = terms.get(k2, ZERO) + coeff * v2
-        d = ZieDualElement(d.ground, "p", {k: v for k, v in terms.items() if v != 0})
+        d = ZieDualElement(d.ground, "p", extend_linearly(d.terms, mat.__getitem__))
         if target == "p":
             return d
     # now d is in p-coordinates and the target is m or c: solve the system
@@ -421,9 +320,7 @@ def dual_change_basis(d: ZieDualElement, target: str) -> ZieDualElement:
     sol = ratgeom.solve(rows, rhs)
     if sol is None:
         raise AssertionError("dual basis transition matrix must be invertible")
-    return ZieDualElement(
-        d.ground, target, {keys[i]: sol[i] for i in range(len(keys)) if sol[i] != 0}
-    )
+    return ZieDualElement(d.ground, target, dict(zip(keys, sol)))
 
 
 def project_Ustar(x: hopf.BasisElement, basis: str = None) -> ZieDualElement:

@@ -105,7 +105,10 @@ class TestCache:
         arr.clear_memo()
 
 
-    @pytest.mark.parametrize("poison", ["truncated", "duplicated", "zero-denominator", "non-object"])
+    @pytest.mark.parametrize(
+        "poison",
+        ["truncated", "duplicated", "zero-denominator", "non-object", "non-integer", "json-number"],
+    )
     def test_poisoned_cache_is_regenerated(self, tmp_path, poison):
         g = co.standard_ground(4)
         arr.clear_memo()
@@ -116,9 +119,9 @@ class TestCache:
             lines = lines[:-5]
         elif poison == "duplicated":
             lines.insert(3, lines[3])
-        elif poison == "zero-denominator":
+        elif poison in ("zero-denominator", "non-integer", "json-number"):
             rec = json.loads(lines[3])
-            rec["witness"][0] = "1/0"
+            rec["witness"][0] = {"zero-denominator": "1/0", "non-integer": "1/2"}.get(poison, 3)
             lines[3] = json.dumps(rec)
         else:
             lines[3] = "[1, 2]"
@@ -128,6 +131,16 @@ class TestCache:
         assert arr.chamber_count(g, cache_dir=tmp_path) == 32
         assert len(arr._read_cache(path, g)) == 32
         arr.clear_memo()
+
+    def test_chamber_index_is_memoized_beside_its_table(self):
+        g = co.standard_ground(4)
+        index = arr.chamber_index(g)
+        assert arr.chamber_index(g) is index
+        assert list(index) == [ch.signs for ch in arr.enumerate_chambers(g)]
+        arr.clear_memo()
+        rebuilt = arr.chamber_index(g)
+        assert rebuilt is not index and rebuilt.keys() == index.keys()
+        assert all(rebuilt[s] is ch for s, ch in zip(rebuilt, arr.enumerate_chambers(g)))
 
     def test_relabelled_grounds_share_one_file(self, tmp_path, monkeypatch):
         writes = []

@@ -175,6 +175,28 @@ class TestErrors:
         code, out, err = run(capsys, "mul", "--a", "not json", "--b", M2)
         assert code == 2 and "malformed JSON" in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("steinmann", "check", "--f", "{}"), "ground"),
+            (("steinmann", "check", "--f", "[]"), "ground"),
+            (("steinmann", "check", "--f", '{"ground":["1","2"],"values":{"+":"1/0"}}'), "values['+']"),
+            (("mul", "--a", '{"ground":["1"]}', "--b", M2), "terms"),
+            (("mul", "--a", M1.replace('"coeff":"1"', '"coeff":"x"'), "--b", M2), "terms[0].coeff"),
+            (("mul", "--a", M1.replace('"coeff":"1"', '"coeff":"1/0"'), "--b", M2), "terms[0].coeff"),
+            (("mul", "--a", M1.replace('[["1"]]', '"1"'), "--b", M2), "terms[0].key"),
+            (("cone", "--preposet", "{}"), "ground"),
+            (("tits", "--f", '[["1"]]', "--g", "5"), "composition"),
+        ],
+        ids=["object-missing-ground", "array-not-object", "values-zero-denominator",
+             "missing-terms", "coeff-not-rational", "coeff-zero-denominator",
+             "key-not-a-composition", "preposet-missing-ground", "composition-not-an-array"],
+    )
+    def test_wrong_shaped_json_is_usage_error(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err
+
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "mul", "--a", M1, "--b", M1)
         assert code == 1 and "disjoint" in err
