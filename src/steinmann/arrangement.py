@@ -37,8 +37,9 @@ disk, is checked exactly in integers before use: each witness sums to zero
 and lies strictly on its recorded side of every hyperplane.
 
 Computed chamber tables are cached in-process and, optionally, on disk as
-JSON lines (written atomically).  The disk table depends only on n: ground
-labels are sorted, so signs and witness coordinates are positional.
+JSON lines (written atomically).  Both are keyed by n: ground labels are
+sorted, so signs and witness coordinates are positional, and a table is
+relabelled onto each ground set of its size.
 """
 
 from __future__ import annotations
@@ -312,11 +313,6 @@ def _pre_adjoint_neighbor_filter(g: GroundSet):
     return neighbor_ok
 
 
-def _lift_witness(g: GroundSet, y) -> ratgeom.Point:
-    coords = tuple(y) + (-sum(y, ZERO),) if len(g) >= 1 else ()
-    return ratgeom.Point(g, coords)
-
-
 # ---------------------------------------------------------------------------
 # the S_n x {+-1} orbit layer
 
@@ -420,7 +416,8 @@ def _sign_string(bits, m):
     return "".join("+" if (bits >> k) & 1 else "-" for k in range(m))
 
 
-_CHAMBER_MEMO = {}
+_TABLE_MEMO = {}  # n -> the chamber table of the first ground of that size met
+_CHAMBER_MEMO = {}  # labels -> that table relabelled onto the ground
 _INDEX_MEMO = {}  # labels -> chamber_index of _CHAMBER_MEMO[labels]
 
 
@@ -542,10 +539,12 @@ def _read_cache(path: Path, g: GroundSet):
 def enumerate_chambers(g: GroundSet, max_n: int = None, cache_dir=None, use_disk_cache: bool = True):
     """All chambers of the adjoint arrangement over ``g``, canonically sorted.
 
-    Results are memoized per ground set; with ``use_disk_cache`` the table is
-    also persisted as JSON lines under the cache directory (environment
-    variable STEINMANN_CACHE_DIR overrides the default location), one file
-    per ground-set size.
+    The table depends only on n (signs and witness coordinates are
+    positional), so it is computed or read once per size and relabelled onto
+    each ground set, and the result is memoized per ground set.  With
+    ``use_disk_cache`` the table is also persisted as JSON lines under the
+    cache directory (environment variable STEINMANN_CACHE_DIR overrides the
+    default location), one file per ground-set size.
     """
     n = len(g)
     if max_n is None:
@@ -554,20 +553,23 @@ def enumerate_chambers(g: GroundSet, max_n: int = None, cache_dir=None, use_disk
         raise ResourceBoundError(
             f"chamber enumeration for n={n} exceeds the configured bound {max_n}"
         )
-    memo_key = g.labels
-    if memo_key in _CHAMBER_MEMO:
-        return _CHAMBER_MEMO[memo_key]
-    chambers = None
-    path = None
-    if use_disk_cache and n >= 4:
-        path = _cache_path(cache_dir or default_cache_dir(), g)
-        chambers = _read_cache(path, g)
-    if chambers is None:
-        chambers = _enumerate_uncached(g)
-        if path is not None:
-            _write_cache(path, g, chambers)
-    _CHAMBER_MEMO[memo_key] = chambers
-    return chambers
+    if g.labels in _CHAMBER_MEMO:
+        return _CHAMBER_MEMO[g.labels]
+    table = _TABLE_MEMO.get(n)
+    if table is None:
+        path = None
+        if use_disk_cache and n >= 4:
+            path = _cache_path(cache_dir or default_cache_dir(), g)
+            table = _read_cache(path, g)
+        if table is None:
+            table = _enumerate_uncached(g)
+            if path is not None:
+                _write_cache(path, g, table)
+        _TABLE_MEMO[n] = table
+    if table[0].ground != g:
+        table = [AdjointChamber(g, ch.signs, ratgeom.Point(g, ch.witness.coords)) for ch in table]
+    _CHAMBER_MEMO[g.labels] = table
+    return table
 
 
 def chamber_count(g: GroundSet, **kw) -> int:
@@ -588,5 +590,6 @@ def chamber_index(g: GroundSet, **kw) -> dict:
 
 def clear_memo():
     """Drop in-process chamber tables (used by determinism tests)."""
+    _TABLE_MEMO.clear()
     _CHAMBER_MEMO.clear()
     _INDEX_MEMO.clear()

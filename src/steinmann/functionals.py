@@ -6,15 +6,20 @@ the four-term Steinmann relations.  This module materializes that picture:
 
 * ``c_functional`` / ``m_functional`` / ``p_functional`` build the images of
   the three dual bases as explicit chamber-value tables;
-* ``steinmann_relations`` enumerates the four-term relations around
-  codimension-2 faces lying on exactly two hyperplanes;
+* ``steinmann_relations`` reads the four-term relations off the chamber
+  sign table, as the squares of its flip graph on crossing hyperplane pairs;
 * ``derivative`` takes the discrete derivative of a Steinmann functional
-  across a hyperplane by exact epsilon-perturbation of embedded witnesses;
+  across a hyperplane: each pair of side chambers embeds as one integer
+  point whose subset sums name the two chambers it separates;
 * ``eulerian_element`` and ``comb_coefficients`` implement the Taylor-style
   expansion that reconstructs a Steinmann functional from iterated
   derivatives evaluated at Eulerian elements;
 * ``dynkin`` / ``egs_expansion`` produce the primitive element of a chamber
-  in the H basis, by dual-basis evaluation and by the folded Tits product.
+  in the H basis, by dual-basis evaluation at that one chamber and by the
+  folded Tits product.
+
+The sign table is the only geometry this layer reads; every chamber key it
+forms is checked against the table.
 
 ``ChamberFunctional``, ``ChamberSum`` and ``FunctionalTensor`` are sparse
 combinations keyed by chamber sign strings, on the shared
@@ -23,6 +28,7 @@ combinations keyed by chamber sign strings, on the shared
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -136,26 +142,26 @@ class FunctionalTensor(LinComb):
 # the dual basis functionals
 
 
+def _requirements(p: Preposet):
+    """``(hyperplane index, sign)`` pairs a chamber must show to lie in the
+    cone of ``p``: one per coprobe split, on the side the split names."""
+    index = {tb.S: i for i, tb in enumerate(arr.hyperplane_splits(p.ground))}
+    return [(index[tb.S], "+") if tb.S in index else (index[tb.T], "-") for tb in pp.coprobes(p)]
+
+
 def c_functional(p: Preposet) -> ChamberFunctional:
     """Characteristic functional of a generalized permutohedral cone.
 
     Value 1 exactly on the chambers whose signature contains every coprobe
     split of the preposet; purely combinatorial, no feasibility calls.
     """
-    g = p.ground
-    splits = arr.hyperplane_splits(g)
-    index = {tb.S: i for i, tb in enumerate(splits)}
-    requirements = []  # (hyperplane index, required sign)
-    for tb in pp.coprobes(p):
-        if tb.S in index:
-            requirements.append((index[tb.S], "+"))
-        else:
-            requirements.append((index[tb.T], "-"))
-    values = {}
-    for ch in arr.enumerate_chambers(g):
-        if all(ch.signs[i] == s for i, s in requirements):
-            values[ch.signs] = ONE
-    return ChamberFunctional(g, values)
+    requirements = _requirements(p)
+    values = {
+        ch.signs: ONE
+        for ch in arr.enumerate_chambers(p.ground)
+        if all(ch.signs[i] == s for i, s in requirements)
+    }
+    return ChamberFunctional(p.ground, values)
 
 
 def m_functional(f: SetComposition) -> ChamberFunctional:
@@ -229,72 +235,95 @@ def _crossing(tb1, tb2) -> bool:
     return bool(s1 & s2) and bool(s1 & t2) and bool(t1 & s2) and bool(t1 & t2)
 
 
+def _flat_classes(g: GroundSet, i: int, j: int):
+    """The parallel classes of the other hyperplanes restricted to the flat
+    of H_i and H_j, which order the cells of that restricted arrangement.
+
+    A class is named by its first member and oriented by that member's
+    leading coefficient in the flat's kernel basis.  Returns ``(k, positive)``
+    for each class in order: bit ``idx`` of a cell is set when the chamber's
+    sign on ``k`` is ``+`` exactly when ``positive``.
+    """
+    reduced = arr._reduced_functionals(g)
+    flat = []  # the kernel basis, each vector scaled to integers
+    for b in ratgeom.kernel_basis([reduced[i], reduced[j]], len(g) - 1):
+        den = math.lcm(*(v.denominator for v in b))
+        flat.append([int(v * den) for v in b])
+    reps = []  # (primitive direction with positive lead, first member, orientation)
+    for k, row in enumerate(reduced):
+        if k in (i, j):
+            continue
+        vec = [sum(a * c for a, c in zip(row, b)) for b in flat]
+        lead = next(v for v in vec if v != 0)
+        unit = math.gcd(*vec) * (1 if lead > 0 else -1)
+        direction = tuple(v // unit for v in vec)
+        if all(d2 != direction for d2, _, _ in reps):
+            reps.append((direction, k, lead > 0))
+    return [(k, positive) for _, k, positive in reps]
+
+
+def _exact(coords):
+    """``int`` coordinates when every denominator is 1, else the rationals."""
+    if all(v.denominator == 1 for v in coords):
+        return [int(v) for v in coords]
+    return coords
+
+
+def _plane_point(x, y, mask):
+    """A positive combination of ``x`` (positive side) and ``y`` (negative
+    side) of the hyperplane with side ``mask``, lying on that hyperplane."""
+    lx = sum(v for p, v in enumerate(x) if (mask >> p) & 1)
+    ly = sum(v for p, v in enumerate(y) if (mask >> p) & 1)
+    return tuple(lx * b - ly * a for a, b in zip(x, y))
+
+
 @lru_cache(maxsize=None)
 def _relations_cached(labels: tuple):
+    """Squares of the flip graph: a chamber with signs (+, +) on a crossing
+    pair of hyperplanes whose three flips on that pair are chambers too.
+
+    The open cone cut out by the other hyperplanes meets all four quadrants
+    of (H_i, H_j) and is convex, so it meets H_i and H_j in a face lying on
+    exactly those two; its witness is interpolated from the four chamber
+    witnesses.  Within each pair the squares are sorted by their cell in
+    the restricted arrangement.
+    """
     g = GroundSet(labels)
-    n = len(g)
     splits = arr.hyperplane_splits(g)
-    reduced = arr._reduced_functionals(g)
+    masks = arr._side_masks(g)
     m = len(splits)
-    chamber_table = arr.chamber_index(g)
+    table = {  # sign bits -> chamber
+        sum(1 << k for k, c in enumerate(ch.signs) if c == "+"): ch
+        for ch in arr.enumerate_chambers(g)
+    }
     relations = []
     for i in range(m):
         for j in range(i + 1, m):
             if not _crossing(splits[i], splits[j]):
                 continue
-            flat = ratgeom.kernel_basis([reduced[i], reduced[j]], n - 1)
-            fdim = len(flat)
-            others = [k for k in range(m) if k not in (i, j)]
-            induced = {
-                k: tuple(
-                    sum((reduced[k][c] * flat[b][c] for c in range(n - 1)), ZERO)
-                    for b in range(fdim)
-                )
-                for k in others
+            bi, bj = 1 << i, 1 << j
+            corners = [
+                b for b in table
+                if b & bi and b & bj and b ^ bi in table and b ^ bj in table and b ^ bi ^ bj in table
+            ]
+            if not corners:
+                continue
+            classes = _flat_classes(g, i, j)
+            cells = {
+                b: sum(1 << idx for idx, (k, pos) in enumerate(classes) if bool((b >> k) & 1) == pos)
+                for b in corners
             }
-            # group parallel restrictions: key = direction with leading 1
-            reps, assign = [], {}
-            for k in others:
-                vec = induced[k]
-                lead = next(v for v in vec if v != 0)
-                direction = tuple(v / lead for v in vec)
-                orient = 1 if lead > 0 else -1
-                for idx, (d2, _) in enumerate(reps):
-                    if d2 == direction:
-                        assign[k] = (idx, orient)
-                        break
-                else:
-                    assign[k] = (len(reps), orient)
-                    reps.append((direction, k))
-            rep_vectors = [d for d, _ in reps]
-            cells = arr.enumerate_sign_chambers(rep_vectors, fdim)
-            for bits in sorted(cells):
-                z = cells[bits]
-                y = tuple(
-                    sum((flat[b][c] * z[b] for b in range(fdim)), ZERO)
-                    for c in range(n - 1)
-                )
-                base_signs = [None] * m
-                for k in others:
-                    idx, orient = assign[k]
-                    positive = bool((bits >> idx) & 1) == (orient == 1)
-                    base_signs[k] = "+" if positive else "-"
-                entries = []
-                for si, sj, coeff in (("+", "+", 1), ("+", "-", -1), ("-", "+", -1), ("-", "-", 1)):
-                    signs = list(base_signs)
-                    signs[i], signs[j] = si, sj
-                    sign_str = "".join(signs)
-                    if sign_str not in chamber_table:
-                        raise AssertionError(
-                            "relation chamber missing; enumeration inconsistent"
-                        )
-                    entries.append((sign_str, coeff))
-                face_signs = list(base_signs)
+            for b in sorted(corners, key=cells.get):
+                square = (table[b], table[b ^ bj], table[b ^ bi], table[b ^ bi ^ bj])
+                wpp, wpm, wmp, wmm = (_exact(ch.witness.coords) for ch in square)
+                a = _plane_point(wpp, wmp, masks[i])
+                c = _plane_point(wpm, wmm, masks[i])
+                face_signs = list(square[0].signs)
                 face_signs[i] = face_signs[j] = "0"
-                face = arr.AdjointFace(g, "".join(face_signs), arr._lift_witness(g, y))
-                relations.append(
-                    SteinmannRelation(g, (i, j), tuple(entries), face)
-                )
+                witness = ratgeom.Point(g, _plane_point(a, c, masks[j]))
+                face = arr.AdjointFace(g, "".join(face_signs), witness)
+                entries = tuple(zip((ch.signs for ch in square), (1, -1, -1, 1)))
+                relations.append(SteinmannRelation(g, (i, j), entries, face))
     return tuple(relations)
 
 
@@ -342,52 +371,44 @@ def from_basis_coords(g: GroundSet, coords: dict) -> ChamberFunctional:
 # discrete derivative
 
 
-def _sub_generic_direction(g: GroundSet, base_start: int):
+@lru_cache(maxsize=None)
+def _sub_generic_direction(n: int, base_start: int):
     """A recentered power direction strict on all proper subset sums."""
-    n = len(g)
     base = base_start
     while True:
         total = sum(base**i for i in range(n))
         d = tuple(rat(base**i) - rat(total, n) for i in range(n))
-        ok = True
-        for mask in range(1, (1 << n) - 1):
-            s = sum((d[i] for i in range(n) if (mask >> i) & 1), ZERO)
-            if s == 0:
-                ok = False
-                break
-        if ok:
+        sums = arr._side_sums(d)
+        if all(sums[mask] != 0 for mask in range(1, (1 << n) - 1)):
             return d
         base += 1
 
 
-def _perturbed_witness(ch: arr.AdjointChamber, k: int, seed: int) -> ratgeom.Point:
-    """The k-th point of a deterministic schedule of interior points."""
-    if k == 0:
-        return ch.witness
-    g = ch.ground
-    n = len(g)
-    if n <= 1:
-        return ch.witness
-    d = ratgeom.Point(g, _sub_generic_direction(g, 3 + seed))
-    margins = []
-    scales = []
-    for tb in arr.hyperplane_splits(g):
-        lam = tb.weight_vector()
-        margins.append(abs(ratgeom.pair(ch.witness, lam)))
-        scales.append(abs(ratgeom.pair(d, lam)))
-    delta = min(mg / (2 * sc + 1) for mg, sc in zip(margins, scales))
-    return ch.witness + d.scale(delta / (k + 1))
+def _perturbed_witness(ch: arr.AdjointChamber, k: int, seed: int) -> tuple:
+    """Coordinates of the k-th point of a deterministic schedule of interior
+    points: the witness itself, then nudges toward a generic direction that
+    shrink with k and stay inside every hyperplane's margin."""
+    x = ch.witness.coords
+    n = len(x)
+    if k == 0 or n <= 1:
+        return x
+    d = _sub_generic_direction(n, 3 + seed)
+    x_sums, d_sums = arr._side_sums(x), arr._side_sums(d)
+    masks = arr._side_masks(ch.ground)
+    step = min(abs(x_sums[mask]) / (2 * abs(d_sums[mask]) + 1) for mask in masks) / (k + 1)
+    return tuple(a + step * b for a, b in zip(x, d))
 
 
 def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
     """Discrete derivative of a Steinmann functional across a hyperplane.
 
-    For each pair of chambers over the two sides, embeds their witnesses on
-    the separating hyperplane, nudges off it by an exact epsilon in both
-    directions, and subtracts the functional's values.  The Steinmann
-    relations guarantee the result is independent of the witnesses; the
-    ``seed`` steers the deterministic regeneration schedule (used to test
-    exactly that independence).
+    For each pair of chambers over the two sides, embeds their witnesses
+    into one point on the separating hyperplane and reads its sign on every
+    other hyperplane as a subset sum.  When none of those sums is zero they
+    fix the chambers on both sides of the point, and the value is the
+    functional's difference across it.  A zero sum moves the side-S witness
+    along a deterministic schedule (steered by ``seed``) until none is.  The
+    Steinmann relations make the result independent of the point chosen.
     """
     s_labels, t_labels = split
     s, t = set(s_labels), set(t_labels)
@@ -398,72 +419,36 @@ def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
         raise DomainError("derivative of a non-Steinmann functional is ill-defined")
     left_g = g.subset(s)
     right_g = g.subset(t)
-    splits = arr.hyperplane_splits(g)
+    masks = arr._side_masks(g)
     table = arr.chamber_index(g)
-    split_index = next(
-        i for i, tb in enumerate(splits) if set(tb.S) in (s, t)
-    )
-    oriented_positive_is_s = set(splits[split_index].S) == s
-    size_s = rat(1, len(s))
-    size_t = rat(1, len(t))
-    w_dir = ratgeom.point(
-        g, {x: size_s if x in s else -size_t for x in g.labels}
-    )
-    w_pairings = [ratgeom.pair(w_dir, tb.weight_vector()) for tb in splits]
+    s_mask = sum(1 << g.position(x) for x in s)
+    if s_mask & 1:  # S holds the minimum: its side is the positive one
+        split_index, plus, minus = masks.index(s_mask), "+", "-"
+    else:
+        split_index, plus, minus = masks.index(s_mask ^ ((1 << len(g)) - 1)), "-", "+"
+    left_pos = [g.position(x) for x in left_g.labels]
+    right_pos = [g.position(x) for x in right_g.labels]
+    point = [None] * len(g)
     values = {}
     for ch_s in arr.enumerate_chambers(left_g):
         for ch_t in arr.enumerate_chambers(right_g):
-            h = None
-            for k in range(0, 2 * len(splits) + 4):
-                ws = _perturbed_witness(ch_s, k, seed)
-                wt = ch_t.witness
-                coords = {}
-                for x in left_g.labels:
-                    coords[x] = ws.coord(x)
-                for x in right_g.labels:
-                    coords[x] = wt.coord(x)
-                cand = ratgeom.point(g, coords)
-                if all(
-                    ratgeom.pair(cand, splits[i].weight_vector()) != 0
-                    for i in range(len(splits))
-                    if i != split_index
-                ):
-                    h = cand
+            for p, v in zip(right_pos, ch_t.witness.coords):
+                point[p] = v
+            for k in range(0, 2 * len(masks) + 4):
+                for p, v in zip(left_pos, _perturbed_witness(ch_s, k, seed)):
+                    point[p] = v
+                sums = arr._side_sums(_exact(point))
+                if all(sums[mask] != 0 for h, mask in enumerate(masks) if h != split_index):
                     break
-            if h is None:
+            else:
                 raise AssertionError("witness regeneration schedule exhausted")
-            pairings = [
-                ratgeom.pair(h, tb.weight_vector()) if i != split_index else None
-                for i, tb in enumerate(splits)
-            ]
-            eps_candidates = [
-                abs(pairings[i]) / (2 * abs(w_pairings[i]) + 1)
-                for i in range(len(splits))
-                if i != split_index
-            ]
-            eps = min(eps_candidates) if eps_candidates else ONE
-            signs_plus, signs_minus = [], []
-            for i in range(len(splits)):
-                if i == split_index:
-                    if oriented_positive_is_s:
-                        signs_plus.append("+")
-                        signs_minus.append("-")
-                    else:
-                        signs_plus.append("-")
-                        signs_minus.append("+")
-                else:
-                    base = pairings[i]
-                    shift = eps * w_pairings[i]
-                    sp = base + shift
-                    sm = base - shift
-                    if sp == 0 or sm == 0 or (sp > 0) != (sm > 0) or (sp > 0) != (base > 0):
-                        raise AssertionError("epsilon failed to preserve strict signs")
-                    signs_plus.append("+" if sp > 0 else "-")
-                    signs_minus.append("+" if sm > 0 else "-")
-            key_plus = "".join(signs_plus)
-            key_minus = "".join(signs_minus)
+            signs = ["+" if sums[mask] > 0 else "-" for mask in masks]
+            signs[split_index] = plus
+            key_plus = "".join(signs)
+            signs[split_index] = minus
+            key_minus = "".join(signs)
             if key_plus not in table or key_minus not in table:
-                raise AssertionError("perturbed points left the chamber table")
+                raise AssertionError("embedded points left the chamber table")
             values[(ch_s.signs, ch_t.signs)] = f.values[key_plus] - f.values[key_minus]
     return FunctionalTensor(left_g, right_g, values)
 
@@ -550,7 +535,7 @@ def uniform_eulerian_search(g: GroundSet, count: int):
     target = rat(1, count)
     if k == 0:
         weights = particular
-        if sorted(v for v in weights) and all(v in (ZERO, target) for v in weights):
+        if all(v in (ZERO, target) for v in weights):
             if sum(1 for v in weights if v == target) == count:
                 return ChamberSum(g, {chambers[i].signs: weights[i] for i in range(len(chambers))})
         return None
@@ -624,8 +609,19 @@ def reconstruct(g: GroundSet, coeffs: dict) -> ChamberFunctional:
 
 
 def dynkin(ch: arr.AdjointChamber) -> hopf.BasisElement:
-    """The primitive element of a chamber: m-functional values against H keys."""
-    terms = {f: m_functional(f).coeff(ch.signs) for f in enumerate_compositions(ch.ground)}
+    """The primitive element of a chamber: m-functional values against H keys.
+
+    Each m-functional is an alternating sum of cone functionals over
+    coarsenings, so only the cone functionals' values at ``ch`` are needed.
+    """
+    comps = enumerate_compositions(ch.ground)
+    inside = {
+        k: all(ch.signs[i] == s for i, s in _requirements(pp.preposet_of(k))) for k in comps
+    }
+    terms = {
+        f: sum((-1) ** (len(f) - len(k)) for k in coarser_compositions(f) if inside[k])
+        for f in comps
+    }
     return hopf.BasisElement(ch.ground, "H", terms)
 
 

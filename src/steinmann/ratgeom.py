@@ -407,9 +407,22 @@ def cone_member(target, generators, open_cone=False, lineality=()):
 # exact Gaussian elimination
 
 
+def _entry(v):
+    """An exact matrix entry: an ``int`` when integral (its arithmetic is far
+    cheaper than a rational's), else the backend rational."""
+    v = as_rat(v)
+    return int(v) if v.denominator == 1 else v
+
+
 def rref(rows, width=None):
-    """Reduced row echelon form; returns (pivot column list, row list)."""
-    mat = [list(map(as_rat, row)) for row in rows]
+    """Reduced row echelon form; returns (pivot column list, row list).
+
+    Each pivot step touches only the columns where the pivot row is nonzero;
+    every entry of that row left of the pivot column is already zero.
+    Integral entries are eliminated as ``int``; the rows come back as
+    backend rationals.
+    """
+    mat = [[_entry(v) for v in row] for row in rows]
     if width is None:
         width = len(mat[0]) if mat else 0
     pivots = []
@@ -419,19 +432,26 @@ def rref(rows, width=None):
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        piv = mat[r][col]
-        if piv != 1:
+        prow = mat[r]
+        support = [j for j in range(col, len(prow)) if prow[j] != 0]
+        piv = prow[col]
+        if piv == -1:
+            for j in support:
+                prow[j] = -prow[j]
+        elif piv != 1:
             inv = ONE / piv
-            mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            for j in support:
+                prow[j] *= inv
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f != 0 and i != r:
+                for j in support:
+                    row[j] -= f * prow[j]
         pivots.append(col)
         r += 1
         if r == len(mat):
             break
-    return pivots, mat
+    return pivots, [[as_rat(v) if v else ZERO for v in row] for row in mat]
 
 
 def rank(rows) -> int:

@@ -42,6 +42,13 @@ def _field(data, name: str, kind: type, path: str = ""):
     return data[name]
 
 
+def _labels(data, where: str) -> list:
+    """A JSON array of string or integer labels, else a UsageError naming it."""
+    if not isinstance(data, list) or not all(isinstance(x, (str, int)) for x in data):
+        raise UsageError(f"field {where!r} must be a JSON array of string or integer labels, got {data!r}")
+    return data
+
+
 def _coeff(text, where: str):
     try:
         return parse_rat(text)
@@ -67,7 +74,9 @@ def partition_to_json(p: SetPartition):
 
 
 def partition_from_json(data, ground: GroundSet = None) -> SetPartition:
-    blocks = tuple(tuple(b) for b in data)
+    if not isinstance(data, list):
+        raise UsageError(f"field 'partition' must be a JSON array of label arrays, got {data!r}")
+    blocks = tuple(tuple(_labels(b, f"partition[{i}]")) for i, b in enumerate(data))
     if ground is None:
         ground = GroundSet(tuple(x for b in blocks for x in b))
     return SetPartition(ground, blocks)
@@ -82,7 +91,11 @@ def preposet_to_json(p: Preposet):
 
 def preposet_from_json(data) -> Preposet:
     g = ground_from_json(_field(data, "ground", list))
-    return preposet(g, [tuple(pair) for pair in _field(data, "pairs", list)])
+    pairs = _field(data, "pairs", list)
+    for i, pair in enumerate(pairs):
+        if len(_labels(pair, f"pairs[{i}]")) != 2 or not g.label_set.issuperset(pair):
+            raise UsageError(f"field 'pairs[{i}]' must be a pair of ground labels, got {pair!r}")
+    return preposet(g, [tuple(pair) for pair in pairs])
 
 
 def two_block_to_json(tb: TwoBlock):
@@ -90,8 +103,8 @@ def two_block_to_json(tb: TwoBlock):
 
 
 def two_block_from_json(data) -> TwoBlock:
-    g = GroundSet(tuple(data["S"]) + tuple(data["T"]))
-    return two_block(g, data["S"])
+    s, t = (_labels(_field(data, side, list), side) for side in ("S", "T"))
+    return two_block(GroundSet(tuple(s) + tuple(t)), s)
 
 
 def family_to_json(fam: AdjointFamily):
@@ -109,8 +122,11 @@ def point_to_json(pt: Point):
 
 
 def point_from_json(data) -> Point:
-    g = ground_from_json(data["ground"])
-    return Point(g, tuple(parse_rat(c) for c in data["coords"]))
+    g = ground_from_json(_field(data, "ground", list))
+    coords = _field(data, "coords", list)
+    if len(coords) != len(g):
+        raise UsageError(f"field 'coords' must hold one coordinate per ground label, got {len(coords)}")
+    return Point(g, tuple(_coeff(c, f"coords[{i}]") for i, c in enumerate(coords)))
 
 
 def _key_to_json(key):
@@ -202,7 +218,17 @@ def tree_to_json(t: zie.Tree):
     return [tree_to_json(t.left), tree_to_json(t.right)]
 
 
+def _check_tree(data, where: str):
+    if isinstance(data, list) and len(data) == 2 and all(isinstance(c, list) for c in data):
+        for i, child in enumerate(data):
+            _check_tree(child, f"{where}[{i}]")
+    elif not (isinstance(data, list) and data and all(isinstance(x, (str, int)) for x in data)):
+        raise UsageError(f"field {where!r} must be a non-empty label array or a pair of trees, got {data!r}")
+
+
 def tree_from_json(data) -> zie.Tree:
+    """A tree from nested arrays: a leaf is a label array, a node a pair of trees."""
+    _check_tree(data, "tree")
     return zie.tree_from_nested(data)
 
 

@@ -157,6 +157,25 @@ class TestCache:
         assert [c.witness.coords for c in tables[2]] == [c.witness.coords for c in tables[0]]
 
 
+    def test_relabelled_ground_reuses_the_table_in_memory(self, tmp_path, monkeypatch):
+        arr.clear_memo()
+        arr.enumerate_chambers(co.standard_ground(4), cache_dir=tmp_path)  # writes the file
+        arr.clear_memo()
+        reads = []
+        read = arr._read_cache
+        monkeypatch.setattr(arr, "_read_cache", lambda *a: reads.append(a) or read(*a))
+        grounds = [co.ground(["1", "2", "3", "4"]), co.ground(["1", "2", "3", "5"])]
+        tables = [arr.enumerate_chambers(g, cache_dir=tmp_path) for g in grounds]
+        index = arr.chamber_index(grounds[1])
+        arr.clear_memo()
+        assert len(reads) == 1
+        for g, table in zip(grounds, tables):
+            assert all(ch.ground == g and ch.witness.ground == g for ch in table)
+        assert [c.signs for c in tables[1]] == [c.signs for c in tables[0]]
+        assert [c.witness.coords for c in tables[1]] == [c.witness.coords for c in tables[0]]
+        assert all(index[ch.signs] is ch for ch in tables[1])
+
+
 def _bits(signs):
     return sum(1 << k for k, c in enumerate(signs) if c == "+")
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -187,15 +188,45 @@ class TestErrors:
             (("mul", "--a", M1.replace('[["1"]]', '"1"'), "--b", M2), "terms[0].key"),
             (("cone", "--preposet", "{}"), "ground"),
             (("tits", "--f", '[["1"]]', "--g", "5"), "composition"),
+            (("cone", "--preposet", '{"ground":["1","2"],"pairs":[5]}'), "pairs[0]"),
+            (("cone", "--preposet", '{"ground":["1","2"],"pairs":[["2","1"],["1","9"]]}'), "pairs[1]"),
+            (("cone", "--preposet", '{"ground":["1","2"],"pairs":[["1","2","1"]]}'), "pairs[0]"),
+            (("zie", "reduce", "--tree", "5"), "tree"),
+            (("zie", "reduce", "--tree", '[["1"],[{}]]'), "tree[1]"),
+            (("zie", "reduce", "--tree", '[[["1"],[]],["2"]]'), "tree[0][1]"),
         ],
         ids=["object-missing-ground", "array-not-object", "values-zero-denominator",
              "missing-terms", "coeff-not-rational", "coeff-zero-denominator",
-             "key-not-a-composition", "preposet-missing-ground", "composition-not-an-array"],
+             "key-not-a-composition", "preposet-missing-ground", "composition-not-an-array",
+             "preposet-pair-not-an-array", "preposet-pair-off-ground", "preposet-pair-too-long",
+             "tree-not-an-array", "tree-leaf-not-labels", "tree-empty-leaf"],
     )
     def test_wrong_shaped_json_is_usage_error(self, capsys, argv, field):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err
+
+    @pytest.mark.parametrize(
+        "decoder, data, field",
+        [
+            ("point_from_json", {"coords": ["1"]}, "ground"),
+            ("point_from_json", {"ground": ["1", "2"], "coords": ["1"]}, "coords"),
+            ("point_from_json", {"ground": ["1", "2"], "coords": ["1", 5]}, "coords[1]"),
+            ("two_block_from_json", {"S": ["1"]}, "T"),
+            ("two_block_from_json", {"S": "1", "T": ["2"]}, "S"),
+            ("two_block_from_json", [["1"], ["2"]], "S"),
+            ("partition_from_json", {"blocks": []}, "partition"),
+            ("partition_from_json", [["1"], "2"], "partition[1]"),
+            ("preposet_from_json", {"ground": ["1", "2"], "pairs": [[None, "1"]]}, "pairs[0]"),
+            ("tree_from_json", [["1"], ["2"], ["3"]], "tree"),
+        ],
+    )
+    def test_decoders_name_the_field(self, decoder, data, field):
+        from steinmann import serialize
+        from steinmann.errors import UsageError
+
+        with pytest.raises(UsageError, match=re.escape(repr(field))):
+            getattr(serialize, decoder)(data)
 
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "mul", "--a", M1, "--b", M1)

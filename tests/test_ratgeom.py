@@ -146,7 +146,68 @@ class TestLinearAlgebra:
             sparse = [{j: v for j, v in enumerate(row) if v != 0} for row in rows]
             assert rg.rank_sparse(sparse) == rg.rank(rows)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rref_solve_kernel_match_dense_reference(self, seed):
+        rnd = random.Random(seed)
+        for _ in range(25):
+            m, w = rnd.randint(1, 9), rnd.randint(1, 8)
+            rows = _sparse_matrix(rnd, m, w)
+            if rnd.random() < 0.5 and m > 1:  # rank-deficient: a row that combines two others
+                a, b = rnd.sample(range(m), 2)
+                c = rat(rnd.randint(-3, 3), rnd.randint(1, 3))
+                rows[rnd.randrange(m)] = [x + c * y for x, y in zip(rows[a], rows[b])]
+            pivots, mat = _dense_rref(rows, w)
+            got = rg.rref(rows, width=w)
+            assert got == (pivots, mat)
+            assert all(type(v) is type(rat(0)) for row in got[1] for v in row)
+            kernel = rg.kernel_basis(rows, w)
+            assert len(kernel) == w - len(pivots)
+            for vec in kernel:
+                assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+            b = [rat(rnd.randint(-4, 4), rnd.randint(1, 4)) for _ in range(m)]
+            x = rg.solve(rows, b)
+            aug_pivots, _ = _dense_rref([row + [v] for row, v in zip(rows, b)], w + 1)
+            if w in aug_pivots:  # the right-hand side is a pivot column: inconsistent
+                assert x is None
+                continue
+            assert [sum(a * v for a, v in zip(row, x)) for row in rows] == b
+            assert all(x[j] == 0 for j in range(w) if j not in pivots)
+
+    def test_solve_rejects_an_inconsistent_sparse_system(self):
+        rows = [[rat(1), rat(0), rat(2)], [rat(0), rat(0), rat(0)], [rat(2), rat(0), rat(4)]]
+        assert rg.solve(rows, [rat(1), rat(0), rat(3)]) is None
+        assert rg.solve(rows, [rat(1), rat(0), rat(2)]) == [rat(1), rat(0), rat(0)]
+
     def test_strict_feasible(self):
         assert rg.strict_feasible([(1,), (-1,)], 1) is None
         w = rg.strict_feasible([(1, 0), (0, 1), (1, 1)], 2)
         assert w is not None and w[0] > 0 and w[1] > 0
+
+
+def _sparse_matrix(rnd, m, w):
+    """Random rational rows, most entries zero."""
+    return [
+        [rat(rnd.randint(-3, 3), rnd.randint(1, 3)) if rnd.random() < 0.3 else rat(0) for _ in range(w)]
+        for _ in range(m)
+    ]
+
+
+def _dense_rref(rows, width):
+    """Reference elimination: first nonzero pivot, every entry of every row updated."""
+    mat = [[rat(v) for v in row] for row in rows]
+    pivots, r = [], 0
+    for col in range(width):
+        sel = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        mat[r] = [v / mat[r][col] for v in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col] != 0:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(mat):
+            break
+    return pivots, mat
