@@ -9,11 +9,12 @@ the four-term Steinmann relations.  This module materializes that picture:
 * ``steinmann_relations`` reads the four-term relations off the chamber
   sign table, as the squares of its flip graph on crossing hyperplane pairs;
 * ``derivative`` takes the discrete derivative of a Steinmann functional
-  across a hyperplane: each pair of side chambers embeds as one integer
-  point whose subset sums name the two chambers it separates;
-* ``eulerian_element`` and ``comb_coefficients`` implement the Taylor-style
-  expansion that reconstructs a Steinmann functional from iterated
-  derivatives evaluated at Eulerian elements;
+  across a hyperplane: the signs of each pair of side chambers assemble the
+  two chambers the pair's point on the hyperplane separates;
+* ``eulerian_element`` solves the Eulerian system on the 0/1 rows of the
+  based cone functionals, and with ``comb_coefficients`` implements the
+  Taylor-style expansion that reconstructs a Steinmann functional from
+  iterated derivatives evaluated at Eulerian elements;
 * ``dynkin`` / ``egs_expansion`` produce the primitive element of a chamber
   in the H basis, by dual-basis evaluation at that one chamber and by the
   folded Tits product.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import arrangement as arr
 from . import hopf
@@ -336,12 +338,18 @@ def is_steinmann(f: ChamberFunctional) -> bool:
     return all(rel.apply(f) == 0 for rel in steinmann_relations(f.ground))
 
 
-def _c_matrix(g: GroundSet):
-    """Columns: c functionals of the based keys, as chamber-indexed vectors."""
-    keys = based_keys(g)
+@lru_cache(maxsize=None)
+def _cone_system(labels: tuple):
+    """The based keys, the chambers, and each based key's cone functional as
+    one 0/1 ``int`` row over the chamber order."""
+    g = GroundSet(labels)
+    keys = tuple(based_keys(g))
     chambers = arr.enumerate_chambers(g)
-    cols = [c_functional(pp.preposet_of(k)) for k in keys]
-    return keys, chambers, cols
+    rows = tuple(
+        tuple(int(all(ch.signs[i] == s for i, s in req)) for ch in chambers)
+        for req in (_requirements(pp.preposet_of(k)) for k in keys)
+    )
+    return keys, chambers, rows
 
 
 def steinmann_basis_coords(f: ChamberFunctional):
@@ -350,13 +358,11 @@ def steinmann_basis_coords(f: ChamberFunctional):
     Solvable exactly when ``f`` satisfies the Steinmann relations; the
     coordinates are then unique because those functionals are independent.
     """
-    keys, chambers, cols = _c_matrix(f.ground)
-    rows = [[col.values[ch.signs] for col in cols] for ch in chambers]
-    rhs = [f.values[ch.signs] for ch in chambers]
-    sol = ratgeom.solve(rows, rhs)
+    keys, chambers, rows = _cone_system(f.ground.labels)
+    sol = ratgeom.solve(list(zip(*rows)), [f.values[ch.signs] for ch in chambers])
     if sol is None:
         return None
-    return {keys[i]: sol[i] for i in range(len(keys))}
+    return dict(zip(keys, sol))
 
 
 def from_basis_coords(g: GroundSet, coords: dict) -> ChamberFunctional:
@@ -370,45 +376,33 @@ def from_basis_coords(g: GroundSet, coords: dict) -> ChamberFunctional:
 # ---------------------------------------------------------------------------
 # discrete derivative
 
-
-@lru_cache(maxsize=None)
-def _sub_generic_direction(n: int, base_start: int):
-    """A recentered power direction strict on all proper subset sums."""
-    base = base_start
-    while True:
-        total = sum(base**i for i in range(n))
-        d = tuple(rat(base**i) - rat(total, n) for i in range(n))
-        sums = arr._side_sums(d)
-        if all(sums[mask] != 0 for mask in range(1, (1 << n) - 1)):
-            return d
-        base += 1
+_FLIP = str.maketrans("+-", "-+")
 
 
-def _perturbed_witness(ch: arr.AdjointChamber, k: int, seed: int) -> tuple:
-    """Coordinates of the k-th point of a deterministic schedule of interior
-    points: the witness itself, then nudges toward a generic direction that
-    shrink with k and stay inside every hyperplane's margin."""
-    x = ch.witness.coords
-    n = len(x)
-    if k == 0 or n <= 1:
-        return x
-    d = _sub_generic_direction(n, 3 + seed)
-    x_sums, d_sums = arr._side_sums(x), arr._side_sums(d)
-    masks = arr._side_masks(ch.ground)
-    step = min(abs(x_sums[mask]) / (2 * abs(d_sums[mask]) + 1) for mask in masks) / (k + 1)
-    return tuple(a + step * b for a, b in zip(x, d))
+def _cut(g: GroundSet, side: GroundSet, mask: int):
+    """Where a chamber over ``side`` shows the sign of the hyperplane of ``g``
+    with side ``mask``: an index into its signs followed by their flips, or
+    None when the hyperplane does not cut ``side`` in a proper part."""
+    part = sum(1 << p for p, x in enumerate(side.labels) if (mask >> g.position(x)) & 1)
+    full = (1 << len(side)) - 1
+    if part in (0, full):
+        return None
+    masks = arr._side_masks(side)
+    # the side's own hyperplane keeps the part holding its minimum label
+    return masks.index(part) if part & 1 else len(masks) + masks.index(full ^ part)
 
 
 def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
     """Discrete derivative of a Steinmann functional across a hyperplane.
 
-    For each pair of chambers over the two sides, embeds their witnesses
-    into one point on the separating hyperplane and reads its sign on every
-    other hyperplane as a subset sum.  When none of those sums is zero they
-    fix the chambers on both sides of the point, and the value is the
-    functional's difference across it.  A zero sum moves the side-S witness
-    along a deterministic schedule (steered by ``seed``) until none is.  The
-    Steinmann relations make the result independent of the point chosen.
+    For chambers a over S and b over T, the point x_a + eps*y_b lies on the
+    split hyperplane and on no other: every other hyperplane U cuts S or T in
+    a proper part.  When U cuts the dominant side its sign is that side's
+    chamber sign on the part (flipped when the part lacks the side's minimum
+    label), else the other side's.  This assembles the two chambers next to
+    the point, which differ only on the split; the value is the functional's
+    difference across it.  The parity of ``seed`` picks the dominant side
+    (even: S); the Steinmann relations make the result independent of it.
     """
     s_labels, t_labels = split
     s, t = set(s_labels), set(t_labels)
@@ -417,40 +411,26 @@ def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
         raise DomainError("derivative requires a proper two-sided split")
     if not is_steinmann(f):
         raise DomainError("derivative of a non-Steinmann functional is ill-defined")
-    left_g = g.subset(s)
-    right_g = g.subset(t)
-    masks = arr._side_masks(g)
+    sides = (g.subset(s), g.subset(t))
+    # S holds the minimum exactly when its side of the split is the positive one
+    plus, minus = ("+", "-") if g.min_label() in s else ("-", "+")
+    plan = []  # per hyperplane: (0 = S, 1 = T, 2 = the split, index into the signs)
+    for mask in arr._side_masks(g):
+        reads = [(k, _cut(g, sides[k], mask)) for k in ((0, 1) if seed % 2 == 0 else (1, 0))]
+        plan.append(next(((k, j) for k, j in reads if j is not None), (2, 0)))
+    split_index = plan.index((2, 0))
     table = arr.chamber_index(g)
-    s_mask = sum(1 << g.position(x) for x in s)
-    if s_mask & 1:  # S holds the minimum: its side is the positive one
-        split_index, plus, minus = masks.index(s_mask), "+", "-"
-    else:
-        split_index, plus, minus = masks.index(s_mask ^ ((1 << len(g)) - 1)), "-", "+"
-    left_pos = [g.position(x) for x in left_g.labels]
-    right_pos = [g.position(x) for x in right_g.labels]
-    point = [None] * len(g)
+    left, right = ([ch.signs for ch in arr.enumerate_chambers(side)] for side in sides)
     values = {}
-    for ch_s in arr.enumerate_chambers(left_g):
-        for ch_t in arr.enumerate_chambers(right_g):
-            for p, v in zip(right_pos, ch_t.witness.coords):
-                point[p] = v
-            for k in range(0, 2 * len(masks) + 4):
-                for p, v in zip(left_pos, _perturbed_witness(ch_s, k, seed)):
-                    point[p] = v
-                sums = arr._side_sums(_exact(point))
-                if all(sums[mask] != 0 for h, mask in enumerate(masks) if h != split_index):
-                    break
-            else:
-                raise AssertionError("witness regeneration schedule exhausted")
-            signs = ["+" if sums[mask] > 0 else "-" for mask in masks]
-            signs[split_index] = plus
-            key_plus = "".join(signs)
-            signs[split_index] = minus
-            key_minus = "".join(signs)
+    for a in left:
+        for b in right:
+            signs = (a + a.translate(_FLIP), b + b.translate(_FLIP), plus)
+            key_plus = "".join(signs[k][j] for k, j in plan)
+            key_minus = key_plus[:split_index] + minus + key_plus[split_index + 1:]
             if key_plus not in table or key_minus not in table:
-                raise AssertionError("embedded points left the chamber table")
-            values[(ch_s.signs, ch_t.signs)] = f.values[key_plus] - f.values[key_minus]
-    return FunctionalTensor(left_g, right_g, values)
+                raise AssertionError("assembled chambers are not in the chamber table")
+            values[(a, b)] = f.values[key_plus] - f.values[key_minus]
+    return FunctionalTensor(sides[0], sides[1], values)
 
 
 def c_derivative_formula(f_comp: SetComposition, split) -> FunctionalTensor:
@@ -484,22 +464,26 @@ def c_derivative_formula(f_comp: SetComposition, split) -> FunctionalTensor:
 # Eulerian elements and the expansion theorem
 
 
-def _p_system(g: GroundSet):
-    keys = based_keys(g)
-    chambers = arr.enumerate_chambers(g)
-    rows = []
-    for key in keys:
-        pf = p_functional(key)
-        rows.append([pf.values[ch.signs] for ch in chambers])
-    return keys, chambers, rows
+def _eulerian_system(g: GroundSet):
+    """The chambers and the Eulerian system ``c_K(e) = 1/len(K)`` over the
+    based keys K.
+
+    The p_(I) coefficient of c_K is 1/len(K), and the p and c functionals
+    of the based keys differ by an invertible triangular change of basis.  So
+    this system has the reduced row echelon form of ``p_K(e) = [K = (I)]``,
+    and with it the same solution with free variables zero and the same
+    kernel basis.
+    """
+    if len(g) == 0:
+        raise DomainError("the Eulerian element needs a non-empty ground set")
+    keys, chambers, rows = _cone_system(g.labels)
+    return chambers, rows, [rat(1, len(k)) for k in keys]
 
 
 @lru_cache(maxsize=None)
 def _eulerian_cached(labels: tuple):
     g = GroundSet(labels)
-    one_lump = SetComposition(g, (g.labels,))
-    keys, chambers, rows = _p_system(g)
-    rhs = [ONE if key == one_lump else ZERO for key in keys]
+    chambers, rows, rhs = _eulerian_system(g)
     sol = ratgeom.solve(rows, rhs)
     if sol is None:
         raise AssertionError("Eulerian defining system must be consistent")
@@ -509,11 +493,10 @@ def _eulerian_cached(labels: tuple):
 def eulerian_element(g: GroundSet) -> ChamberSum:
     """A chamber combination on which only the one-lump p functional is 1.
 
-    Any solution will do (they differ by the span of the Steinmann
+    Solved on the based cone functionals: c_K(e) = 1/len(K) for every based
+    key K.  Any solution will do (they differ by the span of the Steinmann
     relations); the solver's fixed pivot rule makes this one deterministic.
     """
-    if len(g) == 0:
-        raise DomainError("the Eulerian element needs a non-empty ground set")
     return _eulerian_cached(g.labels)
 
 
@@ -524,39 +507,23 @@ def uniform_eulerian_search(g: GroundSet, count: int):
     to a pivot coordinate set makes the 0-or-1/count search finite and
     complete.
     """
-    keys, chambers, rows = _p_system(g)
-    one_lump = SetComposition(g, (g.labels,))
-    rhs = [ONE if key == one_lump else ZERO for key in keys]
+    chambers, rows, rhs = _eulerian_system(g)
     particular = ratgeom.solve(rows, rhs)
     if particular is None:
         return None
     kernel = ratgeom.kernel_basis(rows, len(chambers))
-    k = len(kernel)
-    target = rat(1, count)
-    if k == 0:
-        weights = particular
-        if all(v in (ZERO, target) for v in weights):
-            if sum(1 for v in weights if v == target) == count:
-                return ChamberSum(g, {chambers[i].signs: weights[i] for i in range(len(chambers))})
-        return None
     pivots, _ = ratgeom.rref(kernel, width=len(chambers))
-    from itertools import product as iproduct
-
-    for assignment in iproduct((ZERO, target), repeat=k):
-        rows_k = [[kernel[b][pivots[i]] for b in range(k)] for i in range(k)]
-        rhs_k = [assignment[i] - particular[pivots[i]] for i in range(k)]
-        t_sol = ratgeom.solve(rows_k, rhs_k)
+    on_pivots = [[b[p] for b in kernel] for p in pivots]
+    target = rat(1, count)
+    for assignment in product((ZERO, target), repeat=len(kernel)):
+        t_sol = ratgeom.solve(on_pivots, [a - particular[p] for a, p in zip(assignment, pivots)])
         if t_sol is None:
             continue
         full = list(particular)
-        for b in range(k):
-            if t_sol[b] == 0:
-                continue
-            for c in range(len(chambers)):
-                full[c] += t_sol[b] * kernel[b][c]
-        if all(v in (ZERO, target) for v in full) and sum(
-            1 for v in full if v == target
-        ) == count:
+        for t_b, b in zip(t_sol, kernel):
+            if t_b != 0:
+                full = [v + t_b * w for v, w in zip(full, b)]
+        if all(v in (ZERO, target) for v in full) and full.count(target) == count:
             return ChamberSum(g, {ch.signs: v for ch, v in zip(chambers, full)})
     return None
 
@@ -633,7 +600,7 @@ def egs_expansion(ch: arr.AdjointChamber) -> hopf.BasisElement:
     product, so the canonical hyperplane order fixes the fold.
     """
     g = ch.ground
-    one_lump = SetComposition(g, (g.labels,))
+    one_lump = SetComposition(g, (g.labels,) if len(g) else ())  # the empty ground: no lumps
     acc = hopf.basis_vector("H", one_lump)
     for s, tb in zip(ch.signs, arr.hyperplane_splits(g)):
         member = tb if s == "+" else tb.reversed()

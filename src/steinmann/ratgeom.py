@@ -410,6 +410,8 @@ def cone_member(target, generators, open_cone=False, lineality=()):
 def _entry(v):
     """An exact matrix entry: an ``int`` when integral (its arithmetic is far
     cheaper than a rational's), else the backend rational."""
+    if type(v) is int:
+        return v
     v = as_rat(v)
     return int(v) if v.denominator == 1 else v
 
@@ -469,10 +471,9 @@ def solve(A_rows, b):
     width = len(A_rows[0])
     aug = [list(row) + [bv] for row, bv in zip(A_rows, b)]
     pivots, mat = rref(aug, width=width)
-    # consistency: no pivot-free row with nonzero rhs
-    for i in range(len(mat)):
-        if all(mat[i][j] == 0 for j in range(width)) and mat[i][width] != 0:
-            return None
+    # consistency: the rows below the pivots are zero left of the rhs
+    if any(row[width] != 0 for row in mat[len(pivots):]):
+        return None
     x = [ZERO] * width
     for r_i, col in enumerate(pivots):
         x[col] = mat[r_i][width]

@@ -314,6 +314,11 @@ class TestDynkin:
         assert fn.dynkin(ch).terms == expected
         assert fn.egs_expansion(ch).terms == expected
 
+    def test_empty_ground(self):
+        (ch,) = arr.enumerate_chambers(co.standard_ground(0))
+        assert fn.dynkin(ch) == fn.egs_expansion(ch)
+        assert fn.egs_expansion(ch).terms == {c([], []): rat(1)}
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_equality_and_primitivity(self, n):
         g = co.standard_ground(n)

@@ -1,13 +1,15 @@
-"""The geometric constructions the Steinmann layer used to run, kept as oracles.
+"""The constructions the Steinmann layer used to run, kept as oracles.
 
-``functionals`` reads the Steinmann relations, the discrete derivative and
-the Dynkin elements off the chamber sign table.  The code below is the
-geometry it replaced: relations from a margin-LP walk over the arrangement
-restricted to each codimension-2 flat, the derivative by an exact epsilon
-perturbation of embedded witnesses, and Dynkin elements from full
-m-functionals.  Each test checks that both give the same answer.
+``functionals`` reads the Steinmann relations, the discrete derivative,
+the Dynkin elements and the Eulerian system off the chamber sign table and
+the cone functionals.  The code below is what it replaced: relations from a
+margin-LP walk over the arrangement restricted to each codimension-2 flat,
+the derivative by an exact epsilon perturbation of embedded witnesses,
+Dynkin elements from full m-functionals, and the Eulerian system on the
+p-functionals.  Each test checks that both give the same answer.
 """
 
+import functools
 import itertools
 import random
 
@@ -17,6 +19,7 @@ from steinmann import arrangement as arr
 from steinmann import compositions as co
 from steinmann import functionals as fn
 from steinmann import hopf
+from steinmann import preposets as pp
 from steinmann import ratgeom
 from steinmann import zie
 from steinmann.errors import DomainError
@@ -234,8 +237,9 @@ def test_derivative_matches_epsilon_perturbation_n5():
 
 
 def test_derivative_schedule_fallback_matches():
-    # embedded witnesses that land on a third hyperplane force the schedule
-    # past its first point; both implementations must take the same step
+    # embedded witnesses that land on a third hyperplane force the oracle's
+    # perturbation schedule past its first point; the sign assembly must
+    # still agree with it
     g = co.standard_ground(4)
     f = random_steinmann(g, random.Random(9))
     split = (("1", "2"), ("3", "4"))
@@ -250,6 +254,76 @@ def test_derivative_schedule_fallback_matches():
     assert hits, "no pair needs the fallback; pick another split"
     for seed in (0, 1, 2):
         assert fn.derivative(f, split, seed=seed) == epsilon_derivative(f, split, seed=seed)
+
+
+def test_derivative_dominant_sides_agree_n5():
+    g = co.standard_ground(5)
+    f = random_steinmann(g, random.Random(55), count=12)
+    for split in ((("3",), ("1", "2", "4", "5")), (("1", "5"), ("2", "3", "4"))):
+        assert fn.derivative(f, split, seed=1) == epsilon_derivative(f, split, seed=1)
+    for split in proper_splits(g):
+        assert fn.derivative(f, split, seed=0) == fn.derivative(f, split, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# Eulerian elements from the p-functional system
+
+
+@functools.lru_cache(maxsize=None)
+def p_system(g):
+    """The Eulerian system as it was built: p_K(e) = [K = (I)] over the
+    based keys K, from full p-functionals."""
+    keys = zie.based_keys(g)
+    chambers = arr.enumerate_chambers(g)
+    rows = [[fn.p_functional(k).values[ch.signs] for ch in chambers] for k in keys]
+    return chambers, rows, [ONE if len(k) == 1 else ZERO for k in keys]
+
+
+def on_both_systems(call):
+    """``call()`` on the p-system, then on the cone system ``functionals`` uses."""
+    fn._eulerian_cached.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fn, "_eulerian_system", p_system)
+            old = call()
+        fn._eulerian_cached.cache_clear()
+        return old, call()
+    finally:
+        fn._eulerian_cached.cache_clear()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eulerian_systems_share_rref(n):
+    g = co.standard_ground(n)
+    augmented = [
+        [list(row) + [b] for row, b in zip(rows, rhs)]
+        for _, rows, rhs in (p_system(g), fn._eulerian_system(g))
+    ]
+    width = len(augmented[0][0]) - 1
+    assert ratgeom.rref(augmented[0], width) == ratgeom.rref(augmented[1], width)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eulerian_element_matches_p_system(n):
+    g = co.standard_ground(n)
+    old, new = on_both_systems(lambda: fn.eulerian_element(g))
+    assert list(old.weights.items()) == list(new.weights.items())
+
+
+@pytest.mark.parametrize("n, count", [(3, 6), (4, 24)])
+def test_uniform_search_matches_p_system(n, count):
+    g = co.standard_ground(n)
+    old, new = on_both_systems(lambda: fn.uniform_eulerian_search(g, count))
+    assert new is not None
+    assert list(old.weights.items()) == list(new.weights.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cone_functionals_on_eulerian_element(n):
+    g = co.standard_ground(n)
+    e = fn.eulerian_element(g)
+    for key in zie.based_keys(g):
+        assert fn.evaluate(fn.c_functional(pp.preposet_of(key)), e) == rat(1, len(key))
 
 
 # ---------------------------------------------------------------------------
