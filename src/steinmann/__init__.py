@@ -98,6 +98,7 @@ from .functionals import (
     is_steinmann,
     m_functional,
     p_functional,
+    realize,
     reconstruct,
     stein_quotient_dim,
     steinmann_basis_coords,

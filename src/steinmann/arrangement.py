@@ -51,6 +51,7 @@ import tempfile
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import ratgeom
@@ -70,30 +71,25 @@ def set_max_n(bound: int):
     MAX_N = int(bound)
 
 
-def hyperplane_splits(g: GroundSet):
+@lru_cache(maxsize=None)
+def hyperplane_splits(g: GroundSet) -> tuple:
     """Canonical hyperplane list: min-containing sides, lexicographic."""
     n = len(g)
     if n <= 1:
-        return []
+        return ()
     labels = g.labels
     sides = []
     for mask in range(1, (1 << n) - 1):
         if mask & 1:  # side containing the minimum label (position 0)
             sides.append(tuple(labels[i] for i in range(n) if (mask >> i) & 1))
     sides.sort()
-    return [two_block(g, side) for side in sides]
+    return tuple(two_block(g, side) for side in sides)
 
 
-def _side_masks(g: GroundSet):
+@lru_cache(maxsize=None)
+def _side_masks(g: GroundSet) -> tuple:
     """Position bitmasks of the canonical sides, in hyperplane order."""
-    n = len(g)
-    masks = []
-    for tb in hyperplane_splits(g):
-        mask = 0
-        for label in tb.S:
-            mask |= 1 << g.position(label)
-        masks.append(mask)
-    return masks
+    return tuple(sum(1 << g.position(label) for label in tb.S) for tb in hyperplane_splits(g))
 
 
 @dataclass(frozen=True)
@@ -516,7 +512,7 @@ def _read_cache(path: Path, g: GroundSet):
         with open(path) as fh:
             lines = fh.read().splitlines()
         header = json.loads(lines[0])
-        if (header["format"], header["n"], header["side_masks"]) != (CACHE_FORMAT, n, side_masks):
+        if (header["format"], header["n"], tuple(header["side_masks"])) != (CACHE_FORMAT, n, side_masks):
             return None
         records = [json.loads(line) for line in lines[1:]]
         signs = [rec["signs"] for rec in records]

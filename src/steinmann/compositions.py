@@ -136,12 +136,6 @@ def composition(ground_or_labels, lumps) -> SetComposition:
     return SetComposition(g, tuple(tuple(l) for l in lumps))
 
 
-def comp_of_lumps(lumps) -> SetComposition:
-    """Build a composition from its lumps alone; the ground is their union."""
-    labels = [x for lump in lumps for x in lump]
-    return composition(labels, lumps)
-
-
 @dataclass(frozen=True)
 class SetPartition:
     """An unordered collection of disjoint non-empty blocks covering the ground set."""
@@ -177,11 +171,6 @@ class SetPartition:
 def partition(ground_or_labels, blocks) -> SetPartition:
     g = ground_or_labels if isinstance(ground_or_labels, GroundSet) else ground(ground_or_labels)
     return SetPartition(g, tuple(tuple(b) for b in blocks))
-
-
-def partition_of(comp: SetComposition) -> SetPartition:
-    """Forget the lump order of a composition."""
-    return SetPartition(comp.ground, comp.lumps)
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Restricting the cone functionals of the adjoint realization to chambers
 kills the higher codimensions and leaves exactly the functionals satisfying
 the four-term Steinmann relations.  This module materializes that picture:
 
-* ``c_functional`` / ``m_functional`` / ``p_functional`` build the images of
-  the three dual bases as explicit chamber-value tables;
+* ``realize`` sends C_F to the cone functional of F and M/P elements there
+  through ``hopf.change_basis``: the m- and p-functionals, coordinates and
+  reconstructions are all its values;
 * ``steinmann_relations`` reads the four-term relations off the chamber
   sign table, as the squares of its flip graph on crossing hyperplane pairs;
 * ``derivative`` takes the discrete derivative of a Steinmann functional
@@ -43,11 +44,10 @@ from .compositions import (
     SetComposition,
     coarser_compositions,
     enumerate_compositions,
-    quotient_factors,
     restrict,
 )
 from .errors import DomainError, GroundMismatchError
-from .lincomb import LinComb
+from .lincomb import LinComb, extend_linearly
 from .preposets import Preposet
 from .rat import ONE, ZERO, as_rat, rat
 from .zie import based_keys
@@ -166,24 +166,23 @@ def c_functional(p: Preposet) -> ChamberFunctional:
     return ChamberFunctional(p.ground, values)
 
 
+def realize(x: hopf.BasisElement) -> ChamberFunctional:
+    """The geometric realization: C_F goes to the cone functional of F, other
+    M/P/C elements through their C coordinates (H and Q: DomainError)."""
+    terms = hopf.change_basis(x, "C").terms
+    return ChamberFunctional(
+        x.ground, extend_linearly(terms, lambda k: c_functional(pp.preposet_of(k)).terms)
+    )
+
+
 def m_functional(f: SetComposition) -> ChamberFunctional:
-    """Alternating sum of cone functionals over coarsenings (signed interior)."""
-    g = f.ground
-    out = None
-    for g_comp in coarser_compositions(f):
-        term = c_functional(pp.preposet_of(g_comp)).scale((-1) ** (len(f) - len(g_comp)))
-        out = term if out is None else out + term
-    return out
+    """Image of M_F: the signed characteristic functional of the open cone."""
+    return realize(hopf.basis_vector("M", f))
 
 
 def p_functional(f: SetComposition) -> ChamberFunctional:
-    """Image of the shuffle-dual basis: factorial-weighted sum of m over coarsenings."""
-    out = None
-    for g_comp in coarser_compositions(f):
-        _, fact = quotient_factors(f, g_comp)
-        term = m_functional(g_comp).scale(rat(1, fact))
-        out = term if out is None else out + term
-    return out
+    """Image of P_F, the basis dual to the shuffle basis Q."""
+    return realize(hopf.basis_vector("P", f))
 
 
 def m_open_cone_value(f: SetComposition, chamber: arr.AdjointChamber):
@@ -228,7 +227,8 @@ class SteinmannRelation:
     face: arr.AdjointFace
 
     def apply(self, f: ChamberFunctional):
-        return sum((as_rat(c) * f.coeff(s) for s, c in self.entries), ZERO)
+        (pp_signs, _), (pm_signs, _), (mp_signs, _), (mm_signs, _) = self.entries
+        return f.coeff(pp_signs) - f.coeff(pm_signs) - f.coeff(mp_signs) + f.coeff(mm_signs)
 
 
 def _crossing(tb1, tb2) -> bool:
@@ -367,10 +367,7 @@ def steinmann_basis_coords(f: ChamberFunctional):
 
 def from_basis_coords(g: GroundSet, coords: dict) -> ChamberFunctional:
     """Assemble a functional from cone-functional coordinates."""
-    out = ChamberFunctional(g, {})
-    for key, coeff in coords.items():
-        out = out + c_functional(pp.preposet_of(key)).scale(coeff)
-    return out
+    return realize(hopf.BasisElement(g, "C", coords))
 
 
 # ---------------------------------------------------------------------------
@@ -406,14 +403,19 @@ def derivative(f: ChamberFunctional, split, seed: int = 0) -> FunctionalTensor:
     """
     s_labels, t_labels = split
     s, t = set(s_labels), set(t_labels)
-    g = f.ground
-    if not s or not t or (s & t) or (s | t) != g.label_set:
+    if not s or not t or (s & t) or (s | t) != f.ground.label_set:
         raise DomainError("derivative requires a proper two-sided split")
     if not is_steinmann(f):
         raise DomainError("derivative of a non-Steinmann functional is ill-defined")
-    sides = (g.subset(s), g.subset(t))
+    return _derivative(f, (s_labels, t_labels), seed)
+
+
+def _derivative(f: ChamberFunctional, split, seed: int) -> FunctionalTensor:
+    """``derivative`` past its checks of the split and the Steinmann condition."""
+    g = f.ground
+    sides = tuple(g.subset(side) for side in split)
     # S holds the minimum exactly when its side of the split is the positive one
-    plus, minus = ("+", "-") if g.min_label() in s else ("-", "+")
+    plus, minus = ("+", "-") if g.min_label() in sides[0] else ("-", "+")
     plan = []  # per hyperplane: (0 = S, 1 = T, 2 = the split, index into the signs)
     for mask in arr._side_masks(g):
         reads = [(k, _cut(g, sides[k], mask)) for k in ((0, 1) if seed % 2 == 0 else (1, 0))]
@@ -542,33 +544,23 @@ def comb_coefficients(f: ChamberFunctional, i0=None) -> dict:
         i0 = g.min_label()
     if not is_steinmann(f):
         raise DomainError("expansion requires a Steinmann functional")
-    keys = [
-        k for k in enumerate_compositions(g) if i0 in k.lumps[0]
-    ]
+    keys = [k for k in enumerate_compositions(g) if i0 in k.lumps[0]]
 
     def peel(func: ChamberFunctional, lump_seq) -> object:
         if len(lump_seq) == 1:
             return evaluate(func, eulerian_element(func.ground))
         rest = tuple(x for lump in lump_seq[:-1] for x in lump)
         last = lump_seq[-1]
-        tensor = derivative(func, (rest, last))
+        tensor = _derivative(func, (rest, last), 0)
         contracted = tensor.contract_right(eulerian_element(func.ground.subset(last)))
         return peel(contracted, lump_seq[:-1])
 
-    coeffs = {}
-    for key in keys:
-        coeffs[key] = peel(f, key.lumps)
-    return coeffs
+    return {key: peel(f, key.lumps) for key in keys}
 
 
 def reconstruct(g: GroundSet, coeffs: dict) -> ChamberFunctional:
     """Assemble ``sum a_F p_F`` from expansion coefficients."""
-    out = ChamberFunctional(g, {})
-    for key, coeff in coeffs.items():
-        coeff = as_rat(coeff)
-        if coeff != 0:
-            out = out + p_functional(key).scale(coeff)
-    return out
+    return realize(hopf.BasisElement(g, "P", coeffs))
 
 
 # ---------------------------------------------------------------------------

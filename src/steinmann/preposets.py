@@ -88,14 +88,7 @@ def transitive_closure(g: GroundSet, pairs) -> Preposet:
         if i1 == i2:
             continue
         rows[g.position(i1)] |= 1 << g.position(i2)
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
-    mask = (1 << n) - 1
-    rows = [r & ~(1 << i) & mask for i, r in enumerate(rows)]
-    return Preposet(g, tuple(rows))
+    return _closure_of_rows(g, rows)
 
 
 def preposet_of(f: SetComposition) -> Preposet:

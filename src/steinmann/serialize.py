@@ -12,7 +12,7 @@ from . import functionals as fn
 from . import hopf, zie
 from .compositions import GroundSet, SetComposition, SetPartition
 from .errors import DomainError, UsageError
-from .preposets import AdjointFamily, Preposet, TwoBlock, preposet, two_block
+from .preposets import Preposet, TwoBlock, preposet, two_block
 from .rat import parse_rat, rat_str
 from .ratgeom import Point
 
@@ -105,13 +105,6 @@ def two_block_to_json(tb: TwoBlock):
 def two_block_from_json(data) -> TwoBlock:
     s, t = (_labels(_field(data, side, list), side) for side in ("S", "T"))
     return two_block(GroundSet(tuple(s) + tuple(t)), s)
-
-
-def family_to_json(fam: AdjointFamily):
-    return {
-        "ground": ground_to_json(fam.ground),
-        "members": [two_block_to_json(tb) for tb in fam],
-    }
 
 
 def point_to_json(pt: Point):

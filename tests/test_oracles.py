@@ -5,8 +5,10 @@ the Dynkin elements and the Eulerian system off the chamber sign table and
 the cone functionals.  The code below is what it replaced: relations from a
 margin-LP walk over the arrangement restricted to each codimension-2 flat,
 the derivative by an exact epsilon perturbation of embedded witnesses,
-Dynkin elements from full m-functionals, and the Eulerian system on the
-p-functionals.  Each test checks that both give the same answer.
+Dynkin elements from full m-functionals, the Eulerian system on the
+p-functionals, and the m-, p-functionals, coordinates and reconstructions
+folded term by term out of cone functionals instead of read through the
+realization map.  Each test checks that both give the same answer.
 """
 
 import functools
@@ -23,7 +25,7 @@ from steinmann import preposets as pp
 from steinmann import ratgeom
 from steinmann import zie
 from steinmann.errors import DomainError
-from steinmann.rat import ONE, ZERO, rat
+from steinmann.rat import ONE, ZERO, as_rat, rat
 
 # ---------------------------------------------------------------------------
 # relations: one LP-enumerated cell of each restricted arrangement per face
@@ -339,3 +341,82 @@ def m_functional_dynkin(ch):
 def test_dynkin_matches_m_functionals(n):
     for ch in arr.enumerate_chambers(co.standard_ground(n)):
         assert fn.dynkin(ch) == m_functional_dynkin(ch)
+
+
+# ---------------------------------------------------------------------------
+# the realization map against term-by-term folds of cone functionals
+
+
+@functools.lru_cache(maxsize=None)
+def m_fold(f):
+    """Alternating sum of cone functionals over coarsenings (signed interior)."""
+    g = f.ground
+    out = None
+    for g_comp in co.coarser_compositions(f):
+        term = fn.c_functional(pp.preposet_of(g_comp)).scale((-1) ** (len(f) - len(g_comp)))
+        out = term if out is None else out + term
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def p_fold(f):
+    """Image of the shuffle-dual basis: factorial-weighted sum of m over coarsenings."""
+    out = None
+    for g_comp in co.coarser_compositions(f):
+        _, fact = co.quotient_factors(f, g_comp)
+        term = m_fold(g_comp).scale(rat(1, fact))
+        out = term if out is None else out + term
+    return out
+
+
+def coords_fold(g, coords):
+    out = fn.ChamberFunctional(g, {})
+    for key, coeff in coords.items():
+        out = out + fn.c_functional(pp.preposet_of(key)).scale(coeff)
+    return out
+
+
+def reconstruct_fold(g, coeffs):
+    out = fn.ChamberFunctional(g, {})
+    for key, coeff in coeffs.items():
+        coeff = as_rat(coeff)
+        if coeff != 0:
+            out = out + p_fold(key).scale(coeff)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_m_and_p_match_folds(n):
+    for f in co.enumerate_compositions(co.standard_ground(n)):
+        assert fn.m_functional(f) == m_fold(f)
+        assert fn.p_functional(f) == p_fold(f)
+
+
+def test_m_and_p_match_folds_on_based_keys_n5():
+    for f in zie.based_keys(co.standard_ground(5)):
+        assert fn.m_functional(f) == m_fold(f)
+        assert fn.p_functional(f) == p_fold(f)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_coords_and_reconstruct_match_folds(n):
+    g = co.standard_ground(n)
+    rnd = random.Random(700 + n)
+    keys = zie.based_keys(g)
+    for _ in range(2):
+        coords = {k: rat(rnd.randint(-4, 4), rnd.randint(1, 3)) for k in keys}
+        assert fn.from_basis_coords(g, coords) == coords_fold(g, coords)
+        assert fn.reconstruct(g, coords) == reconstruct_fold(g, coords)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_realize_sends_c_to_cone_functionals(n):
+    for f in co.enumerate_compositions(co.standard_ground(n)):
+        assert fn.realize(hopf.basis_vector("C", f)) == fn.c_functional(pp.preposet_of(f))
+
+
+@pytest.mark.parametrize("basis", ["H", "Q"])
+def test_realize_rejects_the_dual_side(basis):
+    f = co.enumerate_compositions(co.standard_ground(3))[0]
+    with pytest.raises(DomainError):
+        fn.realize(hopf.basis_vector(basis, f))
