@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from steinmann import compositions as co
 from steinmann import preposets as pp
 from steinmann import ratgeom as rg
 from steinmann.errors import ResourceBoundError
+from steinmann.rat import rat_str
 
 
 class TestHyperplanes:
@@ -215,6 +217,10 @@ class TestOrbitWalk:
             for s, side in zip(ch.signs, sides):
                 v = sum(x[i] for i in side)
                 assert v != 0 and (v > 0) == (s == "+")
+        # the table, witnesses included, as the Fraction-tableau simplex first found it
+        table = json.dumps([(c.signs, [rat_str(v) for v in c.witness.coords]) for c in chambers])
+        digest = hashlib.sha256(table.encode()).hexdigest()
+        assert digest == "81d5284ea9ed427072edb1a5daa8c8e7c3125726b7af03200c4dbbe3d7e8af50"
 
 
 class TestGenericCore:
