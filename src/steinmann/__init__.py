@@ -36,7 +36,7 @@ from .preposets import (
     two_block,
     two_block_product,
 )
-from .ratgeom import LinearConstraintSystem, Point, cone_member, feasible, pair
+from .ratgeom import Point, cone_member, pair
 from .hopf import (
     BasisElement,
     TensorElement,

@@ -100,9 +100,6 @@ class AdjointChamber:
     signs: str
     witness: ratgeom.Point
 
-    def sign(self, index: int) -> str:
-        return self.signs[index]
-
     def signature(self) -> AdjointFamily:
         """The total nonsymmetric family of splits on whose positive side we sit."""
         members = []
@@ -121,9 +118,6 @@ class AdjointFace:
     ground: GroundSet
     signs: str  # over the hyperplane list, entries +, -, 0
     witness: ratgeom.Point
-
-    def zero_set(self):
-        return tuple(i for i, s in enumerate(self.signs) if s == "0")
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,7 @@ def _load_json(value: str):
 
 def _resolve_ground(args) -> GroundSet:
     if getattr(args, "ground", None):
-        labels = tuple(x.strip() for x in args.ground.split(",") if x.strip())
-        if not labels and args.ground.strip() == "":
-            labels = ()
-        return GroundSet(labels)
+        return GroundSet(tuple(x.strip() for x in args.ground.split(",") if x.strip()))
     if getattr(args, "n", None) is not None:
         return standard_ground(args.n)
     raise UsageError("specify --n or --ground")

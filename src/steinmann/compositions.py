@@ -119,13 +119,6 @@ class SetComposition:
     def __iter__(self):
         return iter(self.lumps)
 
-    def lump_of(self, label) -> int:
-        """Index of the lump containing ``label``."""
-        for j, lump in enumerate(self.lumps):
-            if label in lump:
-                return j
-        raise DomainError(f"label {label!r} not in ground set")
-
     def __repr__(self):
         inner = ",".join("".join(str(x) for x in lump) for lump in self.lumps)
         return f"({inner})"

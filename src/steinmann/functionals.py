@@ -530,7 +530,7 @@ def uniform_eulerian_search(g: GroundSet, count: int):
     return None
 
 
-def comb_coefficients(f: ChamberFunctional, i0=None) -> dict:
+def comb_coefficients(f: ChamberFunctional) -> dict:
     """Expansion coefficients of a Steinmann functional over based keys.
 
     Peels the last lump of each based key: differentiate at (rest, last),
@@ -540,10 +540,9 @@ def comb_coefficients(f: ChamberFunctional, i0=None) -> dict:
     g = f.ground
     if len(g) == 0:
         raise DomainError("expansion needs a non-empty ground set")
-    if i0 is None:
-        i0 = g.min_label()
     if not is_steinmann(f):
         raise DomainError("expansion requires a Steinmann functional")
+    i0 = g.min_label()
     keys = [k for k in enumerate_compositions(g) if i0 in k.lumps[0]]
 
     def peel(func: ChamberFunctional, lump_seq) -> object:

@@ -62,9 +62,6 @@ class Preposet:
                     out.append((labels[i], labels[j]))
         return tuple(sorted(out))
 
-    def pair_count(self) -> int:
-        return sum(bin(r).count("1") for r in self.rows)
-
     def __repr__(self):
         return f"Preposet({self.pairs()!r})"
 

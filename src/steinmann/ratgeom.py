@@ -6,23 +6,23 @@ linear programs or Gaussian eliminations over the rationals.  Everything here
 is deterministic: fixed variable order, Bland's rule for pivoting, first
 nonzero pivot in eliminations.  No floating point is used anywhere.
 
-Conventions for constraint systems: every row is homogeneous, ``a . x  rel  0``
-with ``rel`` one of ``">="``, ``">"``, ``"="``.  Strict rows are handled by
-maximizing a margin variable ``t`` with ``a . x >= t`` and ``0 <= t <= 1``;
-the system is strictly feasible iff the optimum has ``t > 0``.
+The linear programs run on one fraction-free simplex: the tableau holds
+integers over a common positive denominator ``D``, and each pivot divides
+exactly by the previous ``D`` (Edmonds' integer-preserving elimination), so
+rationals appear only in the returned points and coefficients.  Strict rows
+``a . x > 0`` are handled by maximizing a margin variable ``t`` with
+``a . x >= t`` and ``0 <= t <= 1``; the system is strictly feasible iff the
+optimum has ``t > 0``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .compositions import GroundSet
 from .errors import DomainError, GroundMismatchError
-from .rat import ONE, ZERO, as_rat
-
-GE = ">="
-GT = ">"
-EQ = "="
+from .rat import ONE, ZERO, as_rat, rat
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,6 @@ class Point:
 
     def coord(self, label):
         return self.coords[self.ground.position(label)]
-
-    def mapping(self) -> dict:
-        return dict(zip(self.ground.labels, self.coords))
 
     def sums_to_zero(self) -> bool:
         return sum(self.coords, ZERO) == 0
@@ -98,115 +95,95 @@ def pair(h: Point, lam: Point):
     return sum((a * b for a, b in zip(h.coords, lam.coords)), ZERO)
 
 
-@dataclass(frozen=True)
-class LinearConstraintSystem:
-    """Homogeneous rows ``(coefficients, relation)`` with relation >=, > or =."""
-
-    dim: int
-    rows: tuple
-
-    def __post_init__(self):
-        rows = []
-        for coeffs, rel in self.rows:
-            coeffs = tuple(as_rat(c) for c in coeffs)
-            if len(coeffs) != self.dim:
-                raise DomainError("constraint dimension mismatch")
-            if rel not in (GE, GT, EQ):
-                raise DomainError(f"unknown relation {rel!r}")
-            rows.append((coeffs, rel))
-        object.__setattr__(self, "rows", tuple(rows))
-
-    def satisfied_by(self, x) -> bool:
-        for coeffs, rel in self.rows:
-            v = sum((c * xi for c, xi in zip(coeffs, x)), ZERO)
-            if rel == GE and v < 0:
-                return False
-            if rel == GT and v <= 0:
-                return False
-            if rel == EQ and v != 0:
-                return False
-        return True
-
-
 # ---------------------------------------------------------------------------
-# dense simplex (Bland's rule, exact rationals)
+# fraction-free simplex (Bland's rule, integers over a common denominator)
 
 
-def _simplex(tableau, basis, ncols, enter_limit=None):
+def _integral(row):
+    """``row`` times the lcm of its denominators: integers with the same signs."""
+    row = [as_rat(v) for v in row]
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def _simplex(tableau, basis, ncols, D, enter_limit=None):
     """Run primal simplex to optimality on a max-problem tableau.
 
-    ``tableau`` has one list per constraint row ending in the rhs, plus an
-    objective row of reduced costs (maximization: stop when all <= 0) whose
-    last entry is the negated objective value.  ``basis`` maps constraint rows
-    to their basic columns.  Only the first ``enter_limit`` columns (default
-    all) may enter the basis.  Mutates in place; returns False iff unbounded.
+    ``tableau`` holds ``D`` times the rational tableau, as integers: one list
+    per constraint row ending in the rhs, plus an objective row of reduced
+    costs (maximization: stop when all <= 0) whose last entry is the negated
+    objective value.  ``basis`` maps constraint rows to their basic columns.
+    Only the first ``enter_limit`` columns (default all) may enter the basis.
+    Mutates in place; returns the final denominator, or None iff unbounded.
     """
     m = len(tableau) - 1
     obj = tableau[m]
+    limit = ncols if enter_limit is None else enter_limit
     while True:
-        enter = -1
-        for j in range(ncols if enter_limit is None else enter_limit):
-            if obj[j] > 0:  # Bland: first improving column
-                enter = j
-                break
+        enter = next((j for j in range(limit) if obj[j] > 0), -1)  # Bland: first improving
         if enter < 0:
-            return True
-        leave, best = -1, None
+            return D
+        leave = -1
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / a < rhs_leave / a_leave, cross-multiplied
+                lhs, rhs = tableau[i][ncols] * tableau[leave][enter], tableau[leave][ncols] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
-            return False
-        _pivot(tableau, basis, leave, enter)
+            return None
+        D = _pivot(tableau, basis, leave, enter, D)
 
 
-def _pivot(tableau, basis, leave, enter):
-    """Make column ``enter`` basic in row ``leave``, eliminating it elsewhere."""
-    piv_row = tableau[leave]
-    piv = piv_row[enter]
-    if piv != 1:
-        inv = ONE / piv
-        for j in range(len(piv_row)):
-            piv_row[j] *= inv
+def _pivot(tableau, basis, leave, enter, D):
+    """Make column ``enter`` basic in row ``leave``; returns the new denominator.
+
+    With pivot entry ``p`` every other row becomes ``(p * row - row[enter] *
+    pivot_row) / D``, an exact division, and ``p`` is the new denominator.  A
+    negative pivot (only ever met driving an artificial out) first negates the
+    tableau, so the denominator stays positive and sign tests keep their sense.
+    """
+    prow = tableau[leave]
+    p = prow[enter]
+    if p < 0:
+        for row in tableau:
+            row[:] = [-v for v in row]
+        p, D = -p, -D
     for i, row in enumerate(tableau):
+        if i == leave:
+            continue
         f = row[enter]
-        if i != leave and f != 0:
-            for j in range(len(row)):
-                row[j] -= f * piv_row[j]
+        if f:
+            row[:] = [(p * v - f * w) // D for v, w in zip(row, prow)]
+        elif p != D:
+            row[:] = [p * v // D for v in row]
     basis[leave] = enter
+    return p
 
 
 def _solve_lp(A, b, c):
-    """max c.z subject to A z = b, z >= 0, all rational.
+    """max c.z subject to A z = b, z >= 0, with integer A, b and c.
 
     Returns (status, value, z) with status "optimal", "unbounded" or
-    "infeasible".  Two-phase; deterministic.
+    "infeasible" and a rational value and z.  Two-phase; deterministic.
     """
     m, n = len(A), len(c)
-    rows = [list(row) for row in A]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1: artificial variable per row
     ncols = n + m
+    # phase 1: artificial variable per row
     tableau = []
     for i in range(m):
-        art = [ZERO] * m
-        art[i] = ONE
-        tableau.append(rows[i] + art + [rhs[i]])
-    obj = [ZERO] * ncols + [ZERO]
-    for i in range(m):  # minimize sum of artificials == max of -(sum)
-        for j in range(ncols + 1):
-            obj[j] += tableau[i][j]
-    obj = [v if j < n else ZERO for j, v in enumerate(obj[:ncols])] + [obj[ncols]]
+        sign = -1 if b[i] < 0 else 1
+        tableau.append([sign * v for v in A[i]] + [0] * i + [1] + [0] * (m - 1 - i) + [sign * b[i]])
+    # minimize sum of artificials == max of -(sum)
+    obj = [sum(row[j] for row in tableau) for j in range(n)] + [0] * m
+    obj.append(sum(row[ncols] for row in tableau))
     tableau.append(obj)
     basis = [n + i for i in range(m)]
-    _simplex(tableau, basis, ncols)
+    D = _simplex(tableau, basis, ncols, 1)
     if tableau[m][ncols] != 0:
         return "infeasible", None, None
     # drive artificials out of the basis where possible
@@ -214,69 +191,23 @@ def _solve_lp(A, b, c):
         if basis[i] >= n:
             enter = next((j for j in range(n) if tableau[i][j] != 0), None)
             if enter is not None:  # else the row is redundant
-                _pivot(tableau, basis, i, enter)
-    # phase 2: real objective, artificial columns frozen
-    obj2 = [as_rat(cj) for cj in c] + [ZERO] * m + [ZERO]
+                D = _pivot(tableau, basis, i, enter, D)
+    # phase 2: real objective over the current D, artificial columns frozen
+    obj2 = [cj * D for cj in c] + [0] * (m + 1)
     for i in range(m):
-        if basis[i] < n and obj2[basis[i]] != 0:
-            f = obj2[basis[i]]
-            for j in range(ncols + 1):
-                obj2[j] -= f * tableau[i][j]
+        cb = c[basis[i]] if basis[i] < n else 0
+        if cb:
+            for j, v in enumerate(tableau[i]):
+                obj2[j] -= cb * v
     tableau[m] = obj2
-    if not _simplex(tableau, basis, ncols, enter_limit=n):
+    D = _simplex(tableau, basis, ncols, D, enter_limit=n)
+    if D is None:
         return "unbounded", None, None
     z = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            z[basis[i]] = tableau[i][ncols]
-    value = -tableau[m][ncols]
-    return "optimal", value, z
-
-
-def feasible(system: LinearConstraintSystem):
-    """An exact interior point of the system, or None.
-
-    Strict rows are satisfied strictly by maximizing a common margin; weak
-    and equality rows exactly.  Every returned point is re-checked by
-    substitution before being handed back.
-    """
-    d = system.dim
-    # variables: x+ (d), x- (d), t  -- all >= 0
-    n = 2 * d + 1
-    A, b = [], []
-    for coeffs, rel in system.rows:
-        row = list(coeffs) + [-c for c in coeffs]
-        if rel == GT:
-            A.append(row + [-ONE])
-            b.append(ZERO)
-        elif rel == GE:
-            A.append(row + [ZERO])
-            b.append(ZERO)
-        else:
-            A.append(row + [ZERO])
-            b.append(ZERO)
-            A.append([-v for v in row] + [ZERO])
-            b.append(ZERO)
-    # inequality rows become equalities with slacks
-    slack_rows = len(A)
-    full = []
-    for i, row in enumerate(A):
-        slacks = [ZERO] * (slack_rows + 1)
-        slacks[i] = -ONE  # a.x - t - s = 0  ->  s >= 0 means a.x >= t
-        full.append(row + slacks)
-    cap = [ZERO] * n + [ZERO] * slack_rows + [ONE]
-    cap[2 * d] = ONE  # t + s_cap = 1
-    full.append(cap)
-    b.append(ONE)
-    c = [ZERO] * (n + slack_rows + 1)
-    c[2 * d] = ONE  # maximize t
-    status, value, z = _solve_lp(full, b, c)
-    if status != "optimal" or value is None or value <= 0:
-        return None
-    x = tuple(z[j] - z[d + j] for j in range(d))
-    if not system.satisfied_by(x):
-        raise AssertionError("internal error: LP returned an invalid witness")
-    return x
+            z[basis[i]] = rat(tableau[i][ncols], D)
+    return "optimal", rat(-tableau[m][ncols], D), z
 
 
 def strict_feasible(rows, dim):
@@ -284,8 +215,8 @@ def strict_feasible(rows, dim):
 
     Specialized margin LP for homogeneous all-strict systems: rows are
     rewritten ``-a.x + t + s = 0`` so the slacks form a feasible starting
-    basis (x = 0, t = 0) and no phase-1 artificials are needed.  This is the
-    chamber-enumeration hot path.
+    basis (x = 0, t = 0) and no phase-1 artificials are needed.  A rational
+    row is scaled to integers first.  This is the chamber-enumeration hot path.
     """
     m = len(rows)
     n = 2 * dim + 1  # x+, x-, t
@@ -293,35 +224,32 @@ def strict_feasible(rows, dim):
     t_col = 2 * dim
     tableau = []
     for i, a in enumerate(rows):
-        row = [ZERO] * (ncols + 1)
-        for j, v in enumerate(a):
-            v = as_rat(v)
+        row = [0] * (ncols + 1)
+        for j, v in enumerate(_integral(a)):
             row[j] = -v
             row[dim + j] = v
-        row[t_col] = ONE
-        row[n + i] = ONE
+        row[t_col] = 1
+        row[n + i] = 1
         tableau.append(row)
-    cap = [ZERO] * (ncols + 1)
-    cap[t_col] = ONE
-    cap[ncols - 1] = ONE
-    cap[ncols] = ONE  # rhs
+    cap = [0] * (ncols + 1)
+    cap[t_col] = cap[ncols - 1] = cap[ncols] = 1  # t + s = 1
     tableau.append(cap)
-    obj = [ZERO] * (ncols + 1)
-    obj[t_col] = ONE
+    obj = [0] * (ncols + 1)
+    obj[t_col] = 1
     tableau.append(obj)
     basis = [n + i for i in range(m + 1)]
-    if not _simplex(tableau, basis, ncols):
+    D = _simplex(tableau, basis, ncols, 1)
+    if D is None:
         raise AssertionError("margin LP cannot be unbounded")
-    value = -tableau[m + 1][ncols]
-    if value <= 0:
+    if tableau[m + 1][ncols] >= 0:  # the optimal margin is -obj[rhs] / D
         return None
-    x = [ZERO] * dim
+    x = [0] * dim
     for i, bcol in enumerate(basis):
         if bcol < dim:
             x[bcol] = tableau[i][ncols]
         elif bcol < 2 * dim:
             x[bcol - dim] -= tableau[i][ncols]
-    x = tuple(x)
+    x = tuple(rat(v, D) for v in x)
     for a in rows:
         if sum((as_rat(v) * xi for v, xi in zip(a, x)), ZERO) <= 0:
             raise AssertionError("internal error: strict witness failed substitution")
@@ -343,56 +271,32 @@ def cone_member(target, generators, open_cone=False, lineality=()):
     if any(len(g) != d for g in gens) or any(len(l) != d for l in lin):
         raise DomainError("cone_member requires consistent dimensions")
     k, r = len(gens), len(lin)
-    if k == 0 and not open_cone:
-        # member iff target lies in the lineality span (or is zero)
-        if r == 0:
-            return [] if all(v == 0 for v in tgt) else None
-        sol = solve([[lin[j][i] for j in range(r)] for i in range(d)], list(tgt))
-        return [] if sol is not None else None
     if k == 0 and open_cone:
         return None
-    # variables: c (k), r+ (r), r- (r), t (1 if open)
-    n = k + 2 * r + (1 if open_cone else 0)
-    A, b = [], []
-    for i in range(d):
-        row = [g[i] for g in gens] + [l[i] for l in lin] + [-l[i] for l in lin]
-        if open_cone:
-            row.append(ZERO)
-        A.append(row)
-        b.append(tgt[i])
-    c = [ZERO] * n
+    # variables: c (k), r+ (r), r- (r); each row scaled to integers with its rhs
+    n = k + 2 * r
+    A = [
+        _integral([g[i] for g in gens] + [l[i] for l in lin] + [-l[i] for l in lin] + [tgt[i]])
+        for i in range(d)
+    ]
+    b = [row.pop() for row in A]
+    c = [0] * n
     if open_cone:
-        t_col = n - 1
-        # c_i - t >= 0  ->  c_i - t - s = 0
-        base = len(A)
-        slack_count = k + 1
-        for row in A:
-            row.extend([ZERO] * slack_count)
+        # then t (column n) and slacks: c_i - t - s_i = 0, t + s_cap = 1; max t
+        width = n + k + 2
+        A = [row + [0] * (k + 2) for row in A] + [[0] * width for _ in range(k + 1)]
         for i in range(k):
-            row = [ZERO] * n + [ZERO] * slack_count
-            row[i] = ONE
-            row[t_col] = -ONE
-            row[n + i] = -ONE
-            A.append(row)
-            b.append(ZERO)
-        cap = [ZERO] * n + [ZERO] * slack_count
-        cap[t_col] = ONE
-        cap[n + k] = ONE
-        A.append(cap)
-        b.append(ONE)
-        c = [ZERO] * (n + slack_count)
-        c[t_col] = ONE
-        status, value, z = _solve_lp(A, b, c)
-        if status != "optimal" or value is None or value <= 0:
-            return None
-        coeffs = z[:k]
-    else:
-        status, _, z = _solve_lp(A, b, c)
-        if status != "optimal":
-            return None
-        coeffs = z[:k]
+            A[d + i][i], A[d + i][n], A[d + i][n + 1 + i] = 1, -1, -1
+        A[d + k][n] = A[d + k][width - 1] = 1
+        b += [0] * k + [1]
+        c = [0] * width
+        c[n] = 1
+    status, value, z = _solve_lp(A, b, c)
+    if status != "optimal" or (open_cone and value <= 0):
+        return None
+    coeffs = z[:k]
     # substitution check, always on
-    lin_part = [z[k + j] - z[k + r + j] for j in range(r)] if r else []
+    lin_part = [z[k + j] - z[k + r + j] for j in range(r)]
     for i in range(d):
         v = sum((coeffs[j] * gens[j][i] for j in range(k)), ZERO)
         v += sum((lin_part[j] * lin[j][i] for j in range(r)), ZERO)

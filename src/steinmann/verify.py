@@ -186,7 +186,7 @@ def _compat_case(a, b, s_l, t_l, u_l, v_l, basis) -> bool:
     return terms == left.terms
 
 
-def verify_duality(n: int, seed: int = 0):
+def verify_duality(n: int):
     """Pairing adjunction and antipode self-duality (exhaustive basis vectors)."""
     checks = []
     g = standard_ground(n)
@@ -278,7 +278,7 @@ def verify_steinmann(n: int, seed: int = 0, random_preposets: int = 50):
     return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
-def verify_dynkin(n: int, seed: int = 0):
+def verify_dynkin(n: int):
     """EGS equality, primitivity, and linearity over the relations."""
     checks = []
     g = standard_ground(n)

@@ -17,6 +17,7 @@ and those values are computable by tree surgery (``p_eval``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import hopf
 from .compositions import (
@@ -275,20 +276,11 @@ def _project_to_p_terms(x: hopf.BasisElement) -> dict:
     return {k: v for k, v in terms.items() if v != 0}
 
 
-_DUAL_MATRIX_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _dual_matrix(g: GroundSet, tag: str) -> dict:
     """For each based key K: the p-coordinates of the m_K (or c_K) functional."""
-    cache_key = (g.labels, tag)
-    if cache_key in _DUAL_MATRIX_CACHE:
-        return _DUAL_MATRIX_CACHE[cache_key]
     upstairs = {"m": "M", "c": "C"}[tag]
-    mat = {
-        key: _project_to_p_terms(hopf.basis_vector(upstairs, key)) for key in based_keys(g)
-    }
-    _DUAL_MATRIX_CACHE[cache_key] = mat
-    return mat
+    return {key: _project_to_p_terms(hopf.basis_vector(upstairs, key)) for key in based_keys(g)}
 
 
 def dual_change_basis(d: ZieDualElement, target: str) -> ZieDualElement:

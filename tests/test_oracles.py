@@ -8,7 +8,9 @@ the derivative by an exact epsilon perturbation of embedded witnesses,
 Dynkin elements from full m-functionals, the Eulerian system on the
 p-functionals, and the m-, p-functionals, coordinates and reconstructions
 folded term by term out of cone functionals instead of read through the
-realization map.  Each test checks that both give the same answer.
+realization map.  The linear programs of ``ratgeom`` ran on a tableau of
+rationals before the fraction-free one.  Each test checks that both give the
+same answer.
 """
 
 import functools
@@ -420,3 +422,293 @@ def test_realize_rejects_the_dual_side(basis):
     f = co.enumerate_compositions(co.standard_ground(3))[0]
     with pytest.raises(DomainError):
         fn.realize(hopf.basis_vector(basis, f))
+
+
+# ---------------------------------------------------------------------------
+# linear programs: the simplex on a tableau of rationals
+
+
+def _simplex(tableau, basis, ncols, enter_limit=None):
+    """Run primal simplex to optimality on a max-problem tableau.
+
+    ``tableau`` has one list per constraint row ending in the rhs, plus an
+    objective row of reduced costs (maximization: stop when all <= 0) whose
+    last entry is the negated objective value.  ``basis`` maps constraint rows
+    to their basic columns.  Only the first ``enter_limit`` columns (default
+    all) may enter the basis.  Mutates in place; returns False iff unbounded.
+    """
+    m = len(tableau) - 1
+    obj = tableau[m]
+    while True:
+        enter = -1
+        for j in range(ncols if enter_limit is None else enter_limit):
+            if obj[j] > 0:  # Bland: first improving column
+                enter = j
+                break
+        if enter < 0:
+            return True
+        leave, best = -1, None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return False
+        _pivot(tableau, basis, leave, enter)
+
+
+def _pivot(tableau, basis, leave, enter):
+    """Make column ``enter`` basic in row ``leave``, eliminating it elsewhere."""
+    piv_row = tableau[leave]
+    piv = piv_row[enter]
+    if piv != 1:
+        inv = ONE / piv
+        for j in range(len(piv_row)):
+            piv_row[j] *= inv
+    for i, row in enumerate(tableau):
+        f = row[enter]
+        if i != leave and f != 0:
+            for j in range(len(row)):
+                row[j] -= f * piv_row[j]
+    basis[leave] = enter
+
+
+def _solve_lp(A, b, c):
+    """max c.z subject to A z = b, z >= 0, all rational.
+
+    Returns (status, value, z) with status "optimal", "unbounded" or
+    "infeasible".  Two-phase; deterministic.
+    """
+    m, n = len(A), len(c)
+    rows = [list(row) for row in A]
+    rhs = list(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    # phase 1: artificial variable per row
+    ncols = n + m
+    tableau = []
+    for i in range(m):
+        art = [ZERO] * m
+        art[i] = ONE
+        tableau.append(rows[i] + art + [rhs[i]])
+    obj = [ZERO] * ncols + [ZERO]
+    for i in range(m):  # minimize sum of artificials == max of -(sum)
+        for j in range(ncols + 1):
+            obj[j] += tableau[i][j]
+    obj = [v if j < n else ZERO for j, v in enumerate(obj[:ncols])] + [obj[ncols]]
+    tableau.append(obj)
+    basis = [n + i for i in range(m)]
+    _simplex(tableau, basis, ncols)
+    if tableau[m][ncols] != 0:
+        return "infeasible", None, None
+    # drive artificials out of the basis where possible
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if enter is not None:  # else the row is redundant
+                _pivot(tableau, basis, i, enter)
+    # phase 2: real objective, artificial columns frozen
+    obj2 = [as_rat(cj) for cj in c] + [ZERO] * m + [ZERO]
+    for i in range(m):
+        if basis[i] < n and obj2[basis[i]] != 0:
+            f = obj2[basis[i]]
+            for j in range(ncols + 1):
+                obj2[j] -= f * tableau[i][j]
+    tableau[m] = obj2
+    if not _simplex(tableau, basis, ncols, enter_limit=n):
+        return "unbounded", None, None
+    z = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            z[basis[i]] = tableau[i][ncols]
+    value = -tableau[m][ncols]
+    return "optimal", value, z
+
+
+def strict_feasible(rows, dim):
+    """Witness for ``a . x > 0`` for every row ``a``, or None.
+
+    Specialized margin LP for homogeneous all-strict systems: rows are
+    rewritten ``-a.x + t + s = 0`` so the slacks form a feasible starting
+    basis (x = 0, t = 0) and no phase-1 artificials are needed.  This is the
+    chamber-enumeration hot path.
+    """
+    m = len(rows)
+    n = 2 * dim + 1  # x+, x-, t
+    ncols = n + m + 1
+    t_col = 2 * dim
+    tableau = []
+    for i, a in enumerate(rows):
+        row = [ZERO] * (ncols + 1)
+        for j, v in enumerate(a):
+            v = as_rat(v)
+            row[j] = -v
+            row[dim + j] = v
+        row[t_col] = ONE
+        row[n + i] = ONE
+        tableau.append(row)
+    cap = [ZERO] * (ncols + 1)
+    cap[t_col] = ONE
+    cap[ncols - 1] = ONE
+    cap[ncols] = ONE  # rhs
+    tableau.append(cap)
+    obj = [ZERO] * (ncols + 1)
+    obj[t_col] = ONE
+    tableau.append(obj)
+    basis = [n + i for i in range(m + 1)]
+    if not _simplex(tableau, basis, ncols):
+        raise AssertionError("margin LP cannot be unbounded")
+    value = -tableau[m + 1][ncols]
+    if value <= 0:
+        return None
+    x = [ZERO] * dim
+    for i, bcol in enumerate(basis):
+        if bcol < dim:
+            x[bcol] = tableau[i][ncols]
+        elif bcol < 2 * dim:
+            x[bcol - dim] -= tableau[i][ncols]
+    x = tuple(x)
+    for a in rows:
+        if sum((as_rat(v) * xi for v, xi in zip(a, x)), ZERO) <= 0:
+            raise AssertionError("internal error: strict witness failed substitution")
+    return x
+
+
+def fraction_cone_member(target, gens, open_cone):
+    """Membership of ``target`` in the cone of ``gens`` on the rational tableau."""
+    k, d = len(gens), len(target)
+    A = [[g[i] for g in gens] for i in range(d)]
+    b = list(target)
+    if not open_cone:
+        return _solve_lp(A, b, [ZERO] * k)[0] == "optimal"
+    # variables c (k), t, s (k), s_cap: c_i - t - s_i = 0, t + s_cap = 1, max t
+    width = 2 * k + 2
+    A = [row + [ZERO] * (k + 2) for row in A]
+    for i in range(k):
+        row = [ZERO] * width
+        row[i], row[k], row[k + 1 + i] = ONE, -ONE, -ONE
+        A.append(row)
+        b.append(ZERO)
+    cap = [ZERO] * width
+    cap[k] = cap[width - 1] = ONE
+    A.append(cap)
+    b.append(ONE)
+    c = [ZERO] * width
+    c[k] = ONE
+    status, value, _ = _solve_lp(A, b, c)
+    return status == "optimal" and value > 0
+
+
+HAND_LPS = [
+    # both rows reach x0 = 1 at once: a tie in the phase-1 ratio test
+    ([[1, 1, 0], [1, 0, 1]], [1, 1], [1, 0, 0]),
+    # Beale's cycling example (times 4): degenerate ties at ratio 0
+    (
+        [[1, -32, -4, 36, 1, 0, 0], [1, -24, -1, 6, 0, 1, 0], [0, 0, 1, 0, 0, 0, 1]],
+        [0, 0, 1],
+        [3, -80, 2, -24, 0, 0, 0],
+    ),
+    ([[1, 1]], [-1], [0, 0]),  # infeasible
+    ([[1, -1]], [0], [1, 0]),  # unbounded
+    ([[-1, -1]], [0], [1, 0]),  # the artificial is driven out on a -1
+    ([[-1, -1, 0], [1, 1, 0], [0, 1, 1]], [0, 0, 2], [1, 1, 1]),  # a redundant row too
+]
+
+
+def _random_lp(rnd):
+    m, n = rnd.randint(1, 5), rnd.randint(1, 6)
+    A = [[rnd.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(n)] for _ in range(m)]
+    b = [rnd.choice((0, 0, 0, 1, -1, 2, 3)) for _ in range(m)]  # zeros: degenerate ties
+    return A, b, [rnd.randint(-2, 2) for _ in range(n)]
+
+
+def test_integer_simplex_matches_fraction_simplex(monkeypatch):
+    pivots = []
+    integer_pivot = ratgeom._pivot
+
+    def recording_pivot(tableau, basis, leave, enter, D):
+        pivots.append(tableau[leave][enter])
+        return integer_pivot(tableau, basis, leave, enter, D)
+
+    monkeypatch.setattr(ratgeom, "_pivot", recording_pivot)
+    rnd = random.Random(17)
+    statuses = []
+    for A, b, c in HAND_LPS + [_random_lp(rnd) for _ in range(300)]:
+        got = ratgeom._solve_lp(A, b, c)
+        want = _solve_lp([[rat(v) for v in row] for row in A], [rat(v) for v in b], c)
+        assert got == want
+        statuses.append(got[0])
+    assert statuses[: len(HAND_LPS)] == [
+        "optimal", "optimal", "infeasible", "unbounded", "optimal", "optimal"
+    ]
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses[len(HAND_LPS):])
+    assert any(v < 0 for v in pivots)
+
+
+def _strict_rows(rnd, dim, integral=True):
+    def entry():
+        v = rnd.randint(-3, 3)
+        return v if integral else rat(v, rnd.randint(1, 4))
+
+    return [tuple(entry() for _ in range(dim)) for _ in range(rnd.randint(1, 7))]
+
+
+def test_strict_witnesses_match_on_random_systems():
+    rnd = random.Random(19)
+    found = 0
+    for _ in range(200):
+        dim = rnd.randint(1, 4)
+        rows = _strict_rows(rnd, dim)
+        x = ratgeom.strict_feasible(rows, dim)
+        assert x == strict_feasible(rows, dim)
+        found += x is not None
+        rows = _strict_rows(rnd, dim, integral=False)  # scaled to integers: same decision
+        assert (ratgeom.strict_feasible(rows, dim) is None) == (strict_feasible(rows, dim) is None)
+    assert 0 < found < 200
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_strict_witnesses_match_on_cold_margin_lps(monkeypatch, n):
+    calls = []
+    integer_strict_feasible = ratgeom.strict_feasible
+
+    def recording(rows, dim):
+        x = integer_strict_feasible(rows, dim)
+        calls.append((rows, dim, x))
+        return x
+
+    monkeypatch.setattr(ratgeom, "strict_feasible", recording)
+    arr._enumerate_uncached(co.standard_ground(n))
+    assert calls
+    for rows, dim, x in calls:
+        assert x == strict_feasible(rows, dim)
+
+
+def test_cone_member_on_rational_inputs():
+    rnd = random.Random(23)
+    seen = set()
+    for _ in range(150):
+        gens = [
+            tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 4)) for _ in range(3))
+            for _ in range(rnd.randint(1, 4))
+        ]
+        if rnd.random() < 0.5:
+            target = tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 5)) for _ in range(3))
+        else:  # a positive combination: in the open cone
+            weights = [rat(rnd.randint(1, 4), rnd.randint(1, 3)) for _ in gens]
+            target = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3))
+        for open_cone in (False, True):
+            coeffs = ratgeom.cone_member(target, gens, open_cone=open_cone)
+            member = fraction_cone_member(target, gens, open_cone)
+            assert (coeffs is not None) == member
+            seen.add((open_cone, member))
+            if member:
+                assert all(cv > 0 if open_cone else cv >= 0 for cv in coeffs)
+                assert all(
+                    sum(cv * g[i] for cv, g in zip(coeffs, gens)) == target[i] for i in range(3)
+                )
+    assert len(seen) == 4

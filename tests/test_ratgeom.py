@@ -34,35 +34,6 @@ class TestPointsAndPairing:
         assert rg.pair(h, lam) == 1
 
 
-class TestFeasible:
-    def test_contradiction(self):
-        sys = rg.LinearConstraintSystem(1, (((1,), ">"), ((-1,), ">")))
-        assert rg.feasible(sys) is None
-
-    def test_halfline(self):
-        sys = rg.LinearConstraintSystem(2, (((1, 1), "="), ((1, 0), ">")))
-        x = rg.feasible(sys)
-        assert x is not None and x[0] > 0 and x[0] + x[1] == 0
-
-    def test_witness_always_satisfies(self):
-        rnd = random.Random(3)
-        for _ in range(40):
-            rows = []
-            for _ in range(rnd.randint(1, 6)):
-                coeffs = tuple(rat(rnd.randint(-3, 3)) for _ in range(3))
-                rows.append((coeffs, rnd.choice([">=", ">", "="])))
-            sys = rg.LinearConstraintSystem(3, tuple(rows))
-            x = rg.feasible(sys)
-            if x is not None:
-                assert sys.satisfied_by(x)
-
-    def test_determinism(self):
-        sys = rg.LinearConstraintSystem(
-            3, (((1, -1, 0), ">"), ((0, 1, -1), ">"), ((1, 1, 1), "="))
-        )
-        assert rg.feasible(sys) == rg.feasible(sys)
-
-
 class TestConeMember:
     def test_zero_target(self):
         assert rg.cone_member((0, 0), [(1, 0), (0, 1)]) is not None
@@ -182,6 +153,19 @@ class TestLinearAlgebra:
         assert rg.strict_feasible([(1,), (-1,)], 1) is None
         w = rg.strict_feasible([(1, 0), (0, 1), (1, 1)], 2)
         assert w is not None and w[0] > 0 and w[1] > 0
+        rnd = random.Random(3)
+        found = 0
+        for _ in range(40):
+            rows = [
+                tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(3))
+                for _ in range(rnd.randint(1, 6))
+            ]
+            x = rg.strict_feasible(rows, 3)
+            assert x == rg.strict_feasible(rows, 3)
+            if x is not None:
+                found += 1
+                assert all(sum(a * xi for a, xi in zip(row, x)) > 0 for row in rows)
+        assert 0 < found < 40
 
 
 def _sparse_matrix(rnd, m, w):
