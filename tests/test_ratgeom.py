@@ -34,6 +34,36 @@ class TestPointsAndPairing:
         assert rg.pair(h, lam) == 1
 
 
+class TestFeasible:
+    def test_contradiction(self):
+        assert rg.strict_feasible([(1,), (-1,)], 1) is None
+
+    def test_witness_always_satisfies(self):
+        rnd = random.Random(3)
+        found = 0
+        for _ in range(40):
+            rows = [
+                tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(3))
+                for _ in range(rnd.randint(1, 6))
+            ]
+            x = rg.strict_feasible(rows, 3)
+            if x is not None:
+                found += 1
+                assert all(sum(a * xi for a, xi in zip(row, x)) > 0 for row in rows)
+        assert 0 < found < 40
+
+    def test_determinism(self):
+        rnd = random.Random(4)
+        for _ in range(40):
+            rows = [
+                tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(3))
+                for _ in range(rnd.randint(1, 6))
+            ]
+            assert rg.strict_feasible(rows, 3) == rg.strict_feasible(rows, 3)
+        rows = [(1, -1, 0), (0, 1, -1)]
+        assert rg.strict_feasible(rows, 3) == rg.strict_feasible(rows, 3) is not None
+
+
 class TestConeMember:
     def test_zero_target(self):
         assert rg.cone_member((0, 0), [(1, 0), (0, 1)]) is not None
@@ -150,22 +180,8 @@ class TestLinearAlgebra:
         assert rg.solve(rows, [rat(1), rat(0), rat(2)]) == [rat(1), rat(0), rat(0)]
 
     def test_strict_feasible(self):
-        assert rg.strict_feasible([(1,), (-1,)], 1) is None
         w = rg.strict_feasible([(1, 0), (0, 1), (1, 1)], 2)
         assert w is not None and w[0] > 0 and w[1] > 0
-        rnd = random.Random(3)
-        found = 0
-        for _ in range(40):
-            rows = [
-                tuple(rat(rnd.randint(-3, 3), rnd.randint(1, 2)) for _ in range(3))
-                for _ in range(rnd.randint(1, 6))
-            ]
-            x = rg.strict_feasible(rows, 3)
-            assert x == rg.strict_feasible(rows, 3)
-            if x is not None:
-                found += 1
-                assert all(sum(a * xi for a, xi in zip(row, x)) > 0 for row in rows)
-        assert 0 < found < 40
 
 
 def _sparse_matrix(rnd, m, w):
