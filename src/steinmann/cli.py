@@ -41,12 +41,14 @@ def _resolve_ground(args) -> GroundSet:
     raise UsageError("specify --n or --ground")
 
 
-def _parse_split(g: GroundSet, spec: str):
+def _parse_split(spec: str):
     if ";" not in spec:
         raise UsageError("split must look like 'a,b;c'")
-    left, right = spec.split(";", 1)
-    s = tuple(x.strip() for x in left.split(",") if x.strip())
-    t = tuple(x.strip() for x in right.split(",") if x.strip())
+    s, t = (tuple(x.strip() for x in side.split(",") if x.strip()) for side in spec.split(";", 1))
+    labels = s + t
+    for i, x in enumerate(labels):
+        if x in labels[:i]:
+            raise UsageError(f"split repeats label {x!r}")
     return s, t
 
 
@@ -214,7 +216,7 @@ def _cmd_zie(args):
         if not (args.x and args.split):
             raise UsageError("zie cobracket needs --x and --split")
         d = ser.zie_dual_from_json(_load_json(args.x))
-        split = _parse_split(d.ground, args.split)
+        split = _parse_split(args.split)
         terms = zie.cobracket(d, split)
         left, right = (d.ground.subset(side) for side in split)
         doc = ser.tensor_to_json(hopf.TensorElement(left, right, d.basis, terms))
@@ -256,7 +258,7 @@ def _dispatch(args):
         _emit(ser.element_to_json(hopf.multiply(a, b)))
     elif args.command == "comul":
         x = _element(args.x)
-        split = _parse_split(x.ground, args.split)
+        split = _parse_split(args.split)
         _emit(ser.tensor_to_json(hopf.comultiply(x, split)))
     elif args.command == "antipode":
         _emit(ser.element_to_json(hopf.antipode(_element(args.x))))
@@ -292,7 +294,7 @@ def _dispatch(args):
         _cmd_steinmann(args)
     elif args.command == "derivative":
         f = ser.functional_from_json(_load_json(args.f))
-        split = _parse_split(f.ground, args.split)
+        split = _parse_split(args.split)
         tensor = fn.derivative(f, split, seed=args.seed)
         _emit(ser.functional_tensor_to_json(tensor))
     elif args.command == "eulerian":

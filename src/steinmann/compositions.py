@@ -59,10 +59,7 @@ class GroundSet:
         return frozenset(self.labels)
 
     def subset(self, labels) -> "GroundSet":
-        extra = set(labels) - set(self.labels)
-        if extra:
-            raise DomainError(f"labels {sorted(extra)!r} not in ground set")
-        return GroundSet(tuple(sorted(labels)))
+        return _subset(self, frozenset(labels))
 
     def min_label(self):
         if not self.labels:
@@ -71,6 +68,16 @@ class GroundSet:
 
     def __repr__(self):
         return f"GroundSet({list(self.labels)!r})"
+
+
+@lru_cache(maxsize=4096)
+def _subset(g: GroundSet, labels: frozenset) -> GroundSet:
+    """``g.subset``, memoized per (ground, label set): the sub-grounds of a
+    coproduct recur for every key, so each is validated once."""
+    extra = labels - g.label_set
+    if extra:
+        raise DomainError(f"labels {sorted(extra)!r} not in ground set")
+    return GroundSet(tuple(sorted(labels)))
 
 
 def ground(labels) -> GroundSet:
@@ -119,6 +126,12 @@ class SetComposition:
     def __iter__(self):
         return iter(self.lumps)
 
+    def relabel(self, mapping: dict) -> "SetComposition":
+        """Transport along a bijection ``new label -> old label`` (the species action)."""
+        new_of_old = {old: new for new, old in mapping.items()}
+        ground = relabel_ground(self.ground, mapping)
+        return SetComposition(ground, tuple(tuple(new_of_old[a] for a in l) for l in self.lumps))
+
     def __repr__(self):
         inner = ",".join("".join(str(x) for x in lump) for lump in self.lumps)
         return f"({inner})"
@@ -155,6 +168,12 @@ class SetPartition:
 
     def __iter__(self):
         return iter(self.blocks)
+
+    def relabel(self, mapping: dict) -> "SetPartition":
+        """Transport along a bijection ``new label -> old label``."""
+        new_of_old = {old: new for new, old in mapping.items()}
+        ground = relabel_ground(self.ground, mapping)
+        return SetPartition(ground, tuple(tuple(new_of_old[a] for a in b) for b in self.blocks))
 
     def __repr__(self):
         inner = "|".join("".join(str(x) for x in b) for b in self.blocks)
@@ -330,45 +349,10 @@ def relabel_ground(g: GroundSet, mapping: dict) -> GroundSet:
 
 
 def relabel(x, mapping: dict):
-    """Transport any labeled value along a bijection ``new label -> old label``."""
-    old_of_new = dict(mapping)
-    new_of_old = {old: new for new, old in old_of_new.items()}
-    if isinstance(x, SetComposition):
-        new_g = relabel_ground(x.ground, old_of_new)
-        return SetComposition(new_g, tuple(tuple(new_of_old[a] for a in lump) for lump in x.lumps))
-    if isinstance(x, SetPartition):
-        new_g = relabel_ground(x.ground, old_of_new)
-        return SetPartition(new_g, tuple(tuple(new_of_old[a] for a in b) for b in x.blocks))
-    from . import hopf, preposets, ratgeom, zie
+    """Transport any labeled value along a bijection ``new label -> old label``.
 
-    if isinstance(x, preposets.Preposet):
-        return preposets.relabel_preposet(x, old_of_new)
-    if isinstance(x, preposets.TwoBlock):
-        new_g = relabel_ground(x.ground, old_of_new)
-        return preposets.TwoBlock(
-            new_g,
-            tuple(new_of_old[a] for a in x.S),
-            tuple(new_of_old[a] for a in x.T),
-        )
-    if isinstance(x, preposets.AdjointFamily):
-        return preposets.AdjointFamily(
-            relabel_ground(x.ground, old_of_new),
-            frozenset(relabel(tb, old_of_new) for tb in x.members),
-        )
-    if isinstance(x, hopf.BasisElement):
-        return hopf.BasisElement(
-            relabel_ground(x.ground, old_of_new),
-            x.basis,
-            {relabel(k, old_of_new): v for k, v in x.terms.items()},
-        )
-    if isinstance(x, zie.Tree):
-        if x.is_leaf():
-            return zie.leaf(tuple(new_of_old[a] for a in x.lump))
-        return zie.node(relabel(x.left, old_of_new), relabel(x.right, old_of_new))
-    if isinstance(x, ratgeom.Point):
-        new_g = relabel_ground(x.ground, old_of_new)
-        return ratgeom.point(
-            new_g, {new: x.coord(old) for new, old in old_of_new.items()}
-        )
-    raise DomainError(f"cannot relabel object of type {type(x).__name__}")
-
+    Every labeled type carries the species action as its ``relabel`` method.
+    """
+    if not hasattr(x, "relabel"):
+        raise DomainError(f"cannot relabel object of type {type(x).__name__}")
+    return x.relabel(dict(mapping))

@@ -44,13 +44,12 @@ from .compositions import (
     SetComposition,
     coarser_compositions,
     enumerate_compositions,
-    restrict,
 )
 from .errors import DomainError, GroundMismatchError
-from .lincomb import LinComb, extend_linearly
+from .lincomb import LinComb, extend_bilinearly, extend_linearly
 from .preposets import Preposet
 from .rat import ONE, ZERO, as_rat, rat
-from .zie import based_keys
+from .zie import _cocommutator, based_keys
 
 
 def _check_chambers(signs, ground: GroundSet):
@@ -438,28 +437,16 @@ def _derivative(f: ChamberFunctional, split, seed: int) -> FunctionalTensor:
 def c_derivative_formula(f_comp: SetComposition, split) -> FunctionalTensor:
     """Closed form of the derivative of a cone functional (deconcatenation
     cocommutator); the independent comparison target for ``derivative``."""
-    s_labels, t_labels = split
-    s, t = set(s_labels), set(t_labels)
+    s, t = (frozenset(side) for side in split)
     g = f_comp.ground
-    left_g = g.subset(s)
-    right_g = g.subset(t)
-    values = {}
 
-    def add_product(fs: SetComposition, ft: SetComposition, sign):
-        cs = c_functional(pp.preposet_of(fs))
-        ct = c_functional(pp.preposet_of(ft))
-        for a, va in cs.terms.items():
-            for b, vb in ct.terms.items():
-                key = (a, b)
-                values[key] = values.get(key, ZERO) + sign * va * vb
+    # each factor evaluates on its own side of the separating hyperplane
+    def cone_product(pair):
+        cs, ct = (c_functional(pp.preposet_of(side)).terms for side in pair)
+        return extend_bilinearly(cs, ct)
 
-    # both terms are read in (S, T)-indexed coordinates: each factor evaluates
-    # on its own side of the separating hyperplane, only the sign differs
-    if hopf._is_initial(f_comp, s):
-        add_product(restrict(f_comp, s), restrict(f_comp, t), ONE)
-    if hopf._is_initial(f_comp, t):
-        add_product(restrict(f_comp, s), restrict(f_comp, t), -ONE)
-    return FunctionalTensor(left_g, right_g, values)
+    values = extend_linearly(_cocommutator(f_comp, s, t), cone_product)
+    return FunctionalTensor(g.subset(s), g.subset(t), values)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ directly in these bases.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import preposets as pp
 from .compositions import (
     GroundSet,
@@ -30,10 +32,11 @@ from .compositions import (
     finer_compositions,
     opposite,
     quotient_factors,
+    relabel_ground,
     restrict,
 )
 from .errors import DomainError, GroundMismatchError
-from .lincomb import LinComb, check_keys_over, extend_linearly
+from .lincomb import LinComb, check_keys_over, extend_bilinearly, extend_linearly
 from .preposets import Preposet
 from .rat import ONE, ZERO, as_rat, rat
 
@@ -54,6 +57,11 @@ class BasisElement(LinComb):
         if basis != "C" and any(isinstance(key, Preposet) for key in keys):
             raise DomainError("preposet keys are only allowed in the C basis")
         check_keys_over(keys, ground, (SetComposition, Preposet))
+
+    def relabel(self, mapping: dict) -> "BasisElement":
+        """Transport along a bijection ``new label -> old label``, key by key."""
+        terms = {k.relabel(mapping): v for k, v in self.terms.items()}
+        return BasisElement(relabel_ground(self.ground, mapping), self.basis, terms)
 
 
 def element(ground: GroundSet, basis: str, terms: dict) -> BasisElement:
@@ -179,8 +187,13 @@ def normalize_c_keys(x: BasisElement) -> BasisElement:
 # change of basis
 
 
+@lru_cache(maxsize=4096)
 def _convert_key(key: SetComposition, src: str, dst: str) -> dict:
-    """Expansion of one src-basis vector in the dst basis, as key->coeff."""
+    """Expansion of one src-basis vector in the dst basis, as key->coeff.
+
+    Memoized, so the recursive M -> P inversion and the P <-> C detour
+    through M reuse their sub-results; callers must not mutate the result.
+    """
     if src == dst:
         return {key: ONE}
     if src == "P" and dst == "M":
@@ -238,7 +251,46 @@ def change_basis(x: BasisElement, target: str) -> BasisElement:
 
 
 # ---------------------------------------------------------------------------
-# product, coproduct, antipode, pairing
+# the structure maps on basis keys, and their linear extensions
+
+
+def _key_product(basis: str, f: SetComposition, g: SetComposition) -> dict:
+    """The product of two composition keys over disjoint grounds, as key -> coeff.
+
+    H and Q concatenate; P shuffles, M quasishuffles, and C quasishuffles with
+    the sign of the number of merged lumps.
+    """
+    if basis in ("H", "Q"):
+        return {concat(f, g): ONE}
+    if basis == "P":
+        return dict.fromkeys(shuffles(f, g), ONE)
+    total = len(f) + len(g)
+    return {
+        h: -ONE if basis == "C" and (total - len(h)) % 2 else ONE for h in quasishuffles(f, g)
+    }
+
+
+def _key_coproduct(basis: str, key: SetComposition, s, t) -> dict:
+    """The coproduct of one composition key at the split (S, T) of its ground,
+    given as two label frozensets, as (left key, right key) -> coeff; empty
+    where it vanishes.
+
+    M, P and C deconcatenate: the term survives iff S is the union of the
+    first few lumps.  H restricts to both sides; Q deshuffles, surviving iff
+    every lump lies within S or within T.
+    """
+    if basis in ("M", "P", "C"):
+        size, j = 0, 0
+        while size < len(s):
+            if not s.issuperset(key.lumps[j]):
+                return {}
+            size += len(key.lumps[j])
+            j += 1
+        left = SetComposition(key.ground.subset(s), key.lumps[:j])
+        return {(left, SetComposition(key.ground.subset(t), key.lumps[j:])): ONE}
+    if basis == "Q" and not all(s.issuperset(lump) or t.issuperset(lump) for lump in key.lumps):
+        return {}
+    return {(restrict(key, s), restrict(key, t)): ONE}
 
 
 def multiply(a: BasisElement, b: BasisElement) -> BasisElement:
@@ -247,70 +299,19 @@ def multiply(a: BasisElement, b: BasisElement) -> BasisElement:
         raise DomainError("multiply requires equal basis tags; convert first")
     if a.ground.label_set & b.ground.label_set:
         raise GroundMismatchError("multiply requires disjoint grounds")
-    basis = a.basis
-    a = normalize_c_keys(a)
-    b = normalize_c_keys(b)
-    new_ground = GroundSet(a.ground.labels + b.ground.labels)
-    terms = {}
-
-    def add(key, coeff):
-        terms[key] = terms.get(key, ZERO) + coeff
-
-    for fk, fv in a.terms.items():
-        for gk, gv in b.terms.items():
-            c = fv * gv
-            if basis == "M":
-                for h in quasishuffles(fk, gk):
-                    add(h, c)
-            elif basis == "P":
-                for h in shuffles(fk, gk):
-                    add(h, c)
-            elif basis == "C":
-                total = len(fk) + len(gk)
-                for h in quasishuffles(fk, gk):
-                    add(h, c * (-1) ** (total - len(h)))
-            else:  # H and Q multiply by concatenation
-                add(concat(fk, gk), c)
-    return BasisElement(new_ground, basis, terms)
-
-
-def _is_initial(f: SetComposition, s: set) -> bool:
-    """True iff s is a union of initial lumps of f."""
-    remaining = set(s)
-    for lump in f.lumps:
-        if not remaining:
-            return True
-        if not set(lump) <= remaining:
-            return False
-        remaining -= set(lump)
-    return not remaining
+    a, b = normalize_c_keys(a), normalize_c_keys(b)
+    terms = extend_bilinearly(a.terms, b.terms, lambda f, g: _key_product(a.basis, f, g))
+    return BasisElement(GroundSet(a.ground.labels + b.ground.labels), a.basis, terms)
 
 
 def comultiply(x: BasisElement, split) -> TensorElement:
     """Coproduct component at an ordered split (S, T) of the ground set."""
-    s_labels, t_labels = split
-    s, t = set(s_labels), set(t_labels)
+    s, t = (frozenset(side) for side in split)
     if s & t or s | t != x.ground.label_set:
         raise DomainError("comultiply requires an ordered two-sided partition of the ground")
     x = normalize_c_keys(x)
-    left_g = x.ground.subset(s)
-    right_g = x.ground.subset(t)
-    terms = {}
-
-    def add(kl, kr, coeff):
-        key = (kl, kr)
-        terms[key] = terms.get(key, ZERO) + coeff
-
-    for key, coeff in x.terms.items():
-        if x.basis in ("M", "P", "C"):
-            if _is_initial(key, s):
-                add(restrict(key, s), restrict(key, t), coeff)
-        elif x.basis == "H":
-            add(restrict(key, s), restrict(key, t), coeff)
-        else:  # Q: survives iff S is a union of lumps
-            if all(set(lump) <= s or set(lump) <= t for lump in key.lumps):
-                add(restrict(key, s), restrict(key, t), coeff)
-    return TensorElement(left_g, right_g, x.basis, terms)
+    terms = extend_linearly(x.terms, lambda k: _key_coproduct(x.basis, k, s, t))
+    return TensorElement(x.ground.subset(s), x.ground.subset(t), x.basis, terms)
 
 
 def antipode(x: BasisElement) -> BasisElement:
@@ -362,11 +363,7 @@ def tits_h(a: BasisElement, b: BasisElement) -> BasisElement:
         raise DomainError("tits_h expects H-basis elements")
     if a.ground != b.ground:
         raise GroundMismatchError("tits_h requires equal grounds")
-    terms = {}
-    for fk, fv in a.terms.items():
-        for gk, gv in b.terms.items():
-            key = tits(fk, gk)
-            terms[key] = terms.get(key, ZERO) + fv * gv
+    terms = extend_bilinearly(a.terms, b.terms, lambda f, g: {tits(f, g): ONE})
     return BasisElement(a.ground, "H", terms)
 
 

@@ -11,7 +11,7 @@ thin subclass that names its labels and checks its keys.
 from __future__ import annotations
 
 from .errors import DomainError, GroundMismatchError
-from .rat import ZERO, as_rat, rat_str
+from .rat import ONE, ZERO, as_rat, rat_str
 
 
 class LinComb:
@@ -122,9 +122,26 @@ def check_keys_over(keys, ground, kinds: tuple):
 
 def extend_linearly(terms: dict, image) -> dict:
     """``sum(coeff * image(key))`` over ``terms``, where ``image(key)`` is a
-    key -> coefficient mapping; returned as such a mapping, zeros kept."""
+    key -> coefficient mapping; returned as such a mapping, zeros kept.
+
+    Key maps mostly return the shared ``ONE``; its products are skipped.
+    """
     out = {}
     for key, coeff in terms.items():
         for k2, v2 in image(key).items():
-            out[k2] = out.get(k2, ZERO) + coeff * v2
+            out[k2] = out.get(k2, ZERO) + (coeff if v2 is ONE else coeff * v2)
+    return out
+
+
+def extend_bilinearly(a: dict, b: dict, image=None) -> dict:
+    """``sum(ca * cb * image(ka, kb))`` over the terms of ``a`` and ``b``, as
+    ``extend_linearly`` returns it.  Without ``image`` each pair of keys maps
+    to the pair key ``(ka, kb)``: the tensor product of the two mappings."""
+    image = image or (lambda ka, kb: {(ka, kb): ONE})
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            c = ca * cb
+            for k2, v2 in image(ka, kb).items():
+                out[k2] = out.get(k2, ZERO) + (c if v2 is ONE else c * v2)
     return out

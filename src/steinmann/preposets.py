@@ -62,6 +62,12 @@ class Preposet:
                     out.append((labels[i], labels[j]))
         return tuple(sorted(out))
 
+    def relabel(self, mapping: dict) -> "Preposet":
+        """Transport along a bijection ``new label -> old label``."""
+        new_g = relabel_ground(self.ground, mapping)
+        new_of_old = {old: new for new, old in mapping.items()}
+        return preposet(new_g, [(new_of_old[a], new_of_old[b]) for a, b in self.pairs()])
+
     def __repr__(self):
         return f"Preposet({self.pairs()!r})"
 
@@ -253,14 +259,6 @@ def to_composition(p: Preposet) -> SetComposition:
     return SetComposition(p.ground, tuple(ordered))
 
 
-def relabel_preposet(p: Preposet, mapping: dict) -> Preposet:
-    """Transport along ``new label -> old label``."""
-    new_g = relabel_ground(p.ground, mapping)
-    pairs = p.pairs()
-    new_of_old = {old: new for new, old in mapping.items()}
-    return preposet(new_g, [(new_of_old[a], new_of_old[b]) for a, b in pairs])
-
-
 # ---------------------------------------------------------------------------
 # two-block splits and adjoint families
 
@@ -284,6 +282,12 @@ class TwoBlock:
 
     def reversed(self) -> "TwoBlock":
         return TwoBlock(self.ground, self.T, self.S)
+
+    def relabel(self, mapping: dict) -> "TwoBlock":
+        """Transport along a bijection ``new label -> old label``."""
+        new_of_old = {old: new for new, old in mapping.items()}
+        new_g = relabel_ground(self.ground, mapping)
+        return TwoBlock(new_g, *(tuple(new_of_old[a] for a in side) for side in (self.S, self.T)))
 
     def weight_vector(self) -> ratgeom.Point:
         """The 0/1 indicator lift of S (a weight point, defined mod all-ones)."""
@@ -354,6 +358,11 @@ class AdjointFamily:
 
     def opposite(self) -> "AdjointFamily":
         return AdjointFamily(self.ground, frozenset(tb.reversed() for tb in self.members))
+
+    def relabel(self, mapping: dict) -> "AdjointFamily":
+        """Transport along a bijection ``new label -> old label``, member by member."""
+        new_g = relabel_ground(self.ground, mapping)
+        return AdjointFamily(new_g, frozenset(tb.relabel(mapping) for tb in self.members))
 
     def __le__(self, other: "AdjointFamily") -> bool:
         """Family order: self <= other iff other's members are contained in self's."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compositions import GroundSet
+from .compositions import GroundSet, relabel_ground
 from .errors import DomainError, GroundMismatchError
 from .rat import ONE, ZERO, as_rat, rat
 
@@ -46,6 +46,11 @@ class Point:
 
     def coord(self, label):
         return self.coords[self.ground.position(label)]
+
+    def relabel(self, mapping: dict) -> "Point":
+        """Transport along a bijection ``new label -> old label``."""
+        new_g = relabel_ground(self.ground, mapping)
+        return point(new_g, {new: self.coord(old) for new, old in mapping.items()})
 
     def sums_to_zero(self) -> bool:
         return sum(self.coords, ZERO) == 0

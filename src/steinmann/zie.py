@@ -20,14 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import hopf
-from .compositions import (
-    GroundSet,
-    SetComposition,
-    enumerate_compositions,
-    restrict,
-)
+from .compositions import GroundSet, SetComposition, enumerate_compositions
 from .errors import DomainError, GroundMismatchError
-from .lincomb import LinComb, check_keys_over, extend_linearly
+from .lincomb import LinComb, check_keys_over, extend_bilinearly, extend_linearly
 from .rat import ONE, ZERO, as_rat
 
 
@@ -63,6 +58,13 @@ class Tree:
 
     def ground(self) -> GroundSet:
         return GroundSet(self.labels())
+
+    def relabel(self, mapping: dict) -> "Tree":
+        """Transport the leaf lumps along ``new label -> old label``."""
+        if self.is_leaf():
+            new_of_old = {old: new for new, old in mapping.items()}
+            return leaf(tuple(new_of_old[a] for a in self.lump))
+        return node(self.left.relabel(mapping), self.right.relabel(mapping))
 
     def __repr__(self):
         if self.is_leaf():
@@ -229,13 +231,7 @@ def bracket(z1: ZieElement, z2: ZieElement) -> ZieElement:
     if z1.ground.label_set & z2.ground.label_set:
         raise GroundMismatchError("bracket requires disjoint grounds")
     new_ground = GroundSet(z1.ground.labels + z2.ground.labels)
-    terms = {}
-    for f, a in z1.terms.items():
-        for g, b in z2.terms.items():
-            c = a * b
-            for key, sign in _comb_bracket(f, g).items():
-                terms[key] = terms.get(key, ZERO) + c * sign
-    return ZieElement(new_ground, terms)
+    return ZieElement(new_ground, extend_bilinearly(z1.terms, z2.terms, _comb_bracket))
 
 
 def embed_U(z: ZieElement) -> hopf.BasisElement:
@@ -340,6 +336,17 @@ def dual_pairing(d: ZieDualElement, z: ZieElement):
     return total
 
 
+def _cocommutator(key: SetComposition, s: frozenset, t: frozenset) -> dict:
+    """Deconcatenation of one key at (S, T) minus its deconcatenation at
+    (T, S), both keyed (factor over S, factor over T): the factor over S
+    always sits in the left leg, the deconcatenation side only sets the sign.
+    """
+    out = dict(hopf._key_coproduct("P", key, s, t))
+    for (kt, ks), v in hopf._key_coproduct("P", key, t, s).items():
+        out[(ks, kt)] = out.get((ks, kt), ZERO) - v
+    return out
+
+
 def cobracket(d: ZieDualElement, split) -> dict:
     """The cocommutator of deconcatenation at an ordered split (S, T).
 
@@ -347,42 +354,17 @@ def cobracket(d: ZieDualElement, split) -> dict:
     sides re-based to their own based comb keys, in the same p/m/c tag as the
     input.  Linear in ``d``.
     """
-    s_labels, t_labels = split
-    s, t = set(s_labels), set(t_labels)
+    s, t = (frozenset(side) for side in split)
     if not s or not t or (s & t) or (s | t) != d.ground.label_set:
         raise DomainError("cobracket requires a proper two-sided split")
-    tag = d.basis
-    p = dual_change_basis(d, "p")
-    left_g = d.ground.subset(s)
-    right_g = d.ground.subset(t)
-    raw = {}
+    left_g, right_g = d.ground.subset(s), d.ground.subset(t)
 
-    def add(kl, kr, coeff):
-        raw[(kl, kr)] = raw.get((kl, kr), ZERO) + coeff
+    def rebase(ground, key):
+        """A p-key over ``ground`` over its based comb keys, in the input's tag."""
+        return dual_change_basis(ZieDualElement(ground, "p", _rebase_p_key(key)), d.basis).terms
 
-    # both terms in (S, T)-indexed coordinates: the factor over S always sits
-    # in the left leg, the deconcatenation side only controls the sign
-    for key, coeff in p.terms.items():
-        if hopf._is_initial(key, s):
-            add(restrict(key, s), restrict(key, t), coeff)
-        if hopf._is_initial(key, t):
-            add(restrict(key, s), restrict(key, t), -coeff)
-    # re-base both tensor legs onto their based comb keys
-    out = {}
-    for (kl, kr), coeff in raw.items():
-        for k1, v1 in _rebase_p_key(kl).items():
-            for k2, v2 in _rebase_p_key(kr).items():
-                key = (k1, k2)
-                out[key] = out.get(key, ZERO) + coeff * v1 * v2
-    out = {k: v for k, v in out.items() if v != 0}
-    if tag == "p":
-        return out
-    converted = {}
-    for (k1, k2), coeff in out.items():
-        l_elem = dual_change_basis(ZieDualElement(left_g, "p", {k1: ONE}), tag)
-        r_elem = dual_change_basis(ZieDualElement(right_g, "p", {k2: ONE}), tag)
-        for kl, vl in l_elem.terms.items():
-            for kr, vr in r_elem.terms.items():
-                key = (kl, kr)
-                converted[key] = converted.get(key, ZERO) + coeff * vl * vr
-    return {k: v for k, v in converted.items() if v != 0}
+    raw = extend_linearly(dual_change_basis(d, "p").terms, lambda k: _cocommutator(k, s, t))
+    out = extend_linearly(
+        raw, lambda pair: extend_bilinearly(rebase(left_g, pair[0]), rebase(right_g, pair[1]))
+    )
+    return {k: v for k, v in out.items() if v != 0}

@@ -228,6 +228,21 @@ class TestErrors:
         with pytest.raises(UsageError, match=re.escape(repr(field))):
             getattr(serialize, decoder)(data)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("comul", "--x", M12),
+            ("derivative", "--f", '{"ground":["1","2"],"values":{"+":"1","-":"0"}}'),
+            ("zie", "cobracket", "--x", '{"ground":["1","2"],"basis":"p","terms":[]}'),
+        ],
+        ids=["comul", "derivative", "zie-cobracket"],
+    )
+    @pytest.mark.parametrize("split", ["1,1;2", "1;2,1"])
+    def test_split_with_a_repeated_label_is_usage_error(self, capsys, argv, split):
+        code, out, err = run(capsys, *argv, "--split", split)
+        assert code == 2 and out == ""
+        assert err == "error: split repeats label '1'\n"
+
     def test_domain_error(self, capsys):
         code, out, err = run(capsys, "mul", "--a", M1, "--b", M1)
         assert code == 1 and "disjoint" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,39 @@ class TestValidation:
     def test_rejects_mixed_label_types(self):
         with pytest.raises(DomainError):
             co.ground([1, "2"])
+
+
+    # each constructor validates on every call, with the same messages as ever
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: co.ground(["1", "1"]), "ground labels must be distinct: ('1', '1')"),
+            (lambda: co.ground([1, "2"]), "ground labels must be all strings or all integers"),
+            (lambda: c([1, 2], [[1], [], [2]]), "compositions may not contain empty lumps"),
+            (lambda: c([1, 2], [[1, 2], [2]]), "label 2 appears in two lumps"),
+            (lambda: c([1, 2, 3], [[1], [2]]), "lumps must cover the ground set exactly"),
+            (
+                lambda: co.restrict(c([1, 2], [[1], [2]]), {1, 3}),
+                "restriction labels must lie in the ground set",
+            ),
+            (lambda: co.ground([1, 2]).subset({1, 3}), "labels [3] not in ground set"),
+        ],
+        ids=["duplicate", "mixed-kinds", "empty-lump", "repeated", "partial-cover",
+             "restrict-foreign", "subset-foreign"],
+    )
+    def test_messages(self, build, message):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_subset_rejects_foreign_labels_after_the_memo_is_warm(self):
+        g = co.ground(["a", "b", "c"])
+        with pytest.raises(DomainError, match=re.escape("labels ['z'] not in ground set")):
+            g.subset(["a", "z"])
+        assert g.subset(["c", "a"]) is g.subset({"a", "c"})
+        assert g.subset(["c", "a"]) == co.ground(["a", "c"])
+        with pytest.raises(DomainError, match=re.escape("labels ['z'] not in ground set")):
+            g.subset(["a", "z"])
 
 
 class TestConcatRestrict:

@@ -9,8 +9,10 @@ Dynkin elements from full m-functionals, the Eulerian system on the
 p-functionals, and the m-, p-functionals, coordinates and reconstructions
 folded term by term out of cone functionals instead of read through the
 realization map.  The linear programs of ``ratgeom`` ran on a tableau of
-rationals before the fraction-free one.  Each test checks that both give the
-same answer.
+rationals before the fraction-free one.  Products, coproducts and the
+cobracket were folded element by element, branching on the basis inside the
+loop over terms, before they became linear extensions of key maps.  Each test
+checks that both give the same answer.
 """
 
 import functools
@@ -25,9 +27,13 @@ from steinmann import functionals as fn
 from steinmann import hopf
 from steinmann import preposets as pp
 from steinmann import ratgeom
+from steinmann import verify
 from steinmann import zie
-from steinmann.errors import DomainError
+from steinmann.compositions import GroundSet, SetComposition, concat, restrict
+from steinmann.errors import DomainError, GroundMismatchError
+from steinmann.hopf import BasisElement, TensorElement, normalize_c_keys, quasishuffles, shuffles
 from steinmann.rat import ONE, ZERO, as_rat, rat
+from steinmann.zie import ZieDualElement, _rebase_p_key, dual_change_basis
 
 # ---------------------------------------------------------------------------
 # relations: one LP-enumerated cell of each restricted arrangement per face
@@ -712,3 +718,184 @@ def test_cone_member_on_rational_inputs():
                     sum(cv * g[i] for cv, g in zip(coeffs, gens)) == target[i] for i in range(3)
                 )
     assert len(seen) == 4
+
+
+# ---------------------------------------------------------------------------
+# products, coproducts and the cobracket element by element, with the
+# per-basis branch inside the loop over terms
+
+
+def element_multiply(a: BasisElement, b: BasisElement) -> BasisElement:
+    """The basis-specific product over the disjoint union of the grounds."""
+    if a.basis != b.basis:
+        raise DomainError("multiply requires equal basis tags; convert first")
+    if a.ground.label_set & b.ground.label_set:
+        raise GroundMismatchError("multiply requires disjoint grounds")
+    basis = a.basis
+    a = normalize_c_keys(a)
+    b = normalize_c_keys(b)
+    new_ground = GroundSet(a.ground.labels + b.ground.labels)
+    terms = {}
+
+    def add(key, coeff):
+        terms[key] = terms.get(key, ZERO) + coeff
+
+    for fk, fv in a.terms.items():
+        for gk, gv in b.terms.items():
+            c = fv * gv
+            if basis == "M":
+                for h in quasishuffles(fk, gk):
+                    add(h, c)
+            elif basis == "P":
+                for h in shuffles(fk, gk):
+                    add(h, c)
+            elif basis == "C":
+                total = len(fk) + len(gk)
+                for h in quasishuffles(fk, gk):
+                    add(h, c * (-1) ** (total - len(h)))
+            else:  # H and Q multiply by concatenation
+                add(concat(fk, gk), c)
+    return BasisElement(new_ground, basis, terms)
+
+
+def _is_initial(f: SetComposition, s: set) -> bool:
+    """True iff s is a union of initial lumps of f."""
+    remaining = set(s)
+    for lump in f.lumps:
+        if not remaining:
+            return True
+        if not set(lump) <= remaining:
+            return False
+        remaining -= set(lump)
+    return not remaining
+
+
+def element_comultiply(x: BasisElement, split) -> TensorElement:
+    """Coproduct component at an ordered split (S, T) of the ground set."""
+    s_labels, t_labels = split
+    s, t = set(s_labels), set(t_labels)
+    if s & t or s | t != x.ground.label_set:
+        raise DomainError("comultiply requires an ordered two-sided partition of the ground")
+    x = normalize_c_keys(x)
+    left_g = x.ground.subset(s)
+    right_g = x.ground.subset(t)
+    terms = {}
+
+    def add(kl, kr, coeff):
+        key = (kl, kr)
+        terms[key] = terms.get(key, ZERO) + coeff
+
+    for key, coeff in x.terms.items():
+        if x.basis in ("M", "P", "C"):
+            if _is_initial(key, s):
+                add(restrict(key, s), restrict(key, t), coeff)
+        elif x.basis == "H":
+            add(restrict(key, s), restrict(key, t), coeff)
+        else:  # Q: survives iff S is a union of lumps
+            if all(set(lump) <= s or set(lump) <= t for lump in key.lumps):
+                add(restrict(key, s), restrict(key, t), coeff)
+    return TensorElement(left_g, right_g, x.basis, terms)
+
+
+def element_cobracket(d: ZieDualElement, split) -> dict:
+    """The cocommutator of deconcatenation at an ordered split (S, T).
+
+    Returns a mapping ``(left key, right key) -> coefficient`` with both
+    sides re-based to their own based comb keys, in the same p/m/c tag as the
+    input.  Linear in ``d``.
+    """
+    s_labels, t_labels = split
+    s, t = set(s_labels), set(t_labels)
+    if not s or not t or (s & t) or (s | t) != d.ground.label_set:
+        raise DomainError("cobracket requires a proper two-sided split")
+    tag = d.basis
+    p = dual_change_basis(d, "p")
+    left_g = d.ground.subset(s)
+    right_g = d.ground.subset(t)
+    raw = {}
+
+    def add(kl, kr, coeff):
+        raw[(kl, kr)] = raw.get((kl, kr), ZERO) + coeff
+
+    # both terms in (S, T)-indexed coordinates: the factor over S always sits
+    # in the left leg, the deconcatenation side only controls the sign
+    for key, coeff in p.terms.items():
+        if _is_initial(key, s):
+            add(restrict(key, s), restrict(key, t), coeff)
+        if _is_initial(key, t):
+            add(restrict(key, s), restrict(key, t), -coeff)
+    # re-base both tensor legs onto their based comb keys
+    out = {}
+    for (kl, kr), coeff in raw.items():
+        for k1, v1 in _rebase_p_key(kl).items():
+            for k2, v2 in _rebase_p_key(kr).items():
+                key = (k1, k2)
+                out[key] = out.get(key, ZERO) + coeff * v1 * v2
+    out = {k: v for k, v in out.items() if v != 0}
+    if tag == "p":
+        return out
+    converted = {}
+    for (k1, k2), coeff in out.items():
+        l_elem = dual_change_basis(ZieDualElement(left_g, "p", {k1: ONE}), tag)
+        r_elem = dual_change_basis(ZieDualElement(right_g, "p", {k2: ONE}), tag)
+        for kl, vl in l_elem.terms.items():
+            for kr, vr in r_elem.terms.items():
+                key = (kl, kr)
+                converted[key] = converted.get(key, ZERO) + coeff * vl * vr
+    return {k: v for k, v in converted.items() if v != 0}
+
+
+def _vectors_over(g, basis):
+    return [hopf.basis_vector(basis, k) for k in co.enumerate_compositions(g)]
+
+
+@pytest.mark.parametrize("basis", hopf.BASES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_products_match_element_products(basis, n):
+    g = co.standard_ground(n)
+    for s, t in verify._splits(g):
+        for a in _vectors_over(g.subset(s), basis):
+            for b in _vectors_over(g.subset(t), basis):
+                assert hopf.multiply(a, b) == element_multiply(a, b)
+
+
+@pytest.mark.parametrize("basis", hopf.BASES)
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_coproducts_match_element_coproducts(basis, n):
+    g = co.standard_ground(n)
+    for x in _vectors_over(g, basis):
+        for split in verify._splits(g):
+            assert hopf.comultiply(x, split) == element_comultiply(x, split)
+
+
+def test_preposet_keys_match_element_maps():
+    g = co.standard_ground(3)
+    splits = verify._splits(g)
+    cones = {s: [hopf.cone_element(p) for p in pp.all_preposets(g.subset(s))] for s, _ in splits}
+    assert len(cones[g.labels]) == 29
+    assert any(isinstance(k, pp.Preposet) for x in cones[g.labels] for k in x.terms)
+    for s, t in splits:
+        for a in cones[s]:
+            for b in cones[t]:
+                assert hopf.multiply(a, b) == element_multiply(a, b)
+        for x in cones[g.labels]:
+            assert hopf.comultiply(x, (s, t)) == element_comultiply(x, (s, t))
+
+
+@pytest.mark.parametrize("tag", ["p", "m", "c"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cobracket_matches_element_cobracket(tag, n):
+    rnd = random.Random(n)
+    g = co.standard_ground(n)
+    keys = zie.based_keys(g)
+    proper = verify._splits(g, proper_only=True)
+    nonzero = 0
+    for _ in range(3):
+        picks = rnd.sample(keys, min(4, len(keys)))
+        coeffs = {k: rat(rnd.randint(-3, 3), rnd.randint(1, 3)) for k in picks}
+        d = zie.ZieDualElement(g, tag, coeffs)
+        for split in proper:
+            result = zie.cobracket(d, split)
+            assert result == element_cobracket(d, split)
+            nonzero += bool(result)
+    assert nonzero
