@@ -6,6 +6,12 @@ indexing gadgets for every basis and cone in the rest of the library, so the
 representation is deliberately boring: sorted tuples of labels, hashable and
 canonical, with all invariants checked at construction.
 
+Ground sets and compositions are interned values.  Construction looks its
+arguments up in a bounded memo, so each distinct value is validated once and
+hashed once, and equal arguments give the same object; an invalid argument is
+never memoized and raises again on every call.  The memos are ``lru_cache``
+functions, cleared with the library's other memos.
+
 Conventions:
 
 * labels within a ground set are all strings or all integers, and the
@@ -27,20 +33,46 @@ from math import factorial
 from .errors import DomainError, GroundMismatchError
 
 
-@dataclass(frozen=True)
+def _immutable(self, *_):
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+def _validated_labels(labels) -> tuple:
+    """The sorted tuple of ``labels``, or a DomainError."""
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise DomainError(f"ground labels must be distinct: {labels!r}")
+    kinds = {type(x) for x in labels}
+    if not kinds <= {str, int} or len(kinds) > 1:
+        raise DomainError("ground labels must be all strings or all integers")
+    return tuple(sorted(labels))
+
+
 class GroundSet:
-    """A finite set of distinct labels with a fixed total order (natural sort)."""
+    """A finite set of distinct labels with a fixed total order (natural sort).
 
-    labels: tuple
+    Interned: equal label tuples give the same object while it is memoized.
+    """
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        if len(set(labels)) != len(labels):
-            raise DomainError(f"ground labels must be distinct: {labels!r}")
-        kinds = {type(x) for x in labels}
-        if not kinds <= {str, int} or len(kinds) > 1:
-            raise DomainError("ground labels must be all strings or all integers")
-        object.__setattr__(self, "labels", tuple(sorted(labels)))
+    __slots__ = ("labels", "label_set", "_hash")
+
+    def __new__(cls, labels):
+        return _intern_ground(*labels)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return GroundSet, (self.labels,)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         return len(self.labels)
@@ -54,12 +86,12 @@ class GroundSet:
     def position(self, label) -> int:
         return self.labels.index(label)
 
-    @property
-    def label_set(self) -> frozenset:
-        return frozenset(self.labels)
-
     def subset(self, labels) -> "GroundSet":
-        return _subset(self, frozenset(labels))
+        labels = frozenset(labels)
+        extra = labels - self.label_set
+        if extra:
+            raise DomainError(f"labels {sorted(extra)!r} not in ground set")
+        return GroundSet(tuple(sorted(labels)))
 
     def min_label(self):
         if not self.labels:
@@ -70,14 +102,19 @@ class GroundSet:
         return f"GroundSet({list(self.labels)!r})"
 
 
-@lru_cache(maxsize=4096)
-def _subset(g: GroundSet, labels: frozenset) -> GroundSet:
-    """``g.subset``, memoized per (ground, label set): the sub-grounds of a
-    coproduct recur for every key, so each is validated once."""
-    extra = labels - g.label_set
-    if extra:
-        raise DomainError(f"labels {sorted(extra)!r} not in ground set")
-    return GroundSet(tuple(sorted(labels)))
+@lru_cache(maxsize=4096, typed=True)
+def _intern_ground(*labels) -> GroundSet:
+    """The ground set of ``labels``, validated once per distinct argument;
+    ``typed`` keeps ``True`` apart from ``1``, as the validation does, and
+    unsorted labels resolve to the sorted entry."""
+    ordered = _validated_labels(labels)
+    if ordered != labels:
+        return _intern_ground(*ordered)
+    g = object.__new__(GroundSet)
+    object.__setattr__(g, "labels", labels)
+    object.__setattr__(g, "label_set", frozenset(labels))
+    object.__setattr__(g, "_hash", hash((labels,)))
+    return g
 
 
 def ground(labels) -> GroundSet:
@@ -98,26 +135,79 @@ def _sorted_lump(labels) -> tuple:
     return tuple(sorted(labels))
 
 
-@dataclass(frozen=True)
+def _validated_lumps(ground: GroundSet, lumps) -> tuple:
+    """The lumps of a composition of ``ground`` as sorted tuples of the
+    ground's own labels, or a DomainError."""
+    lumps = tuple(_sorted_lump(l) for l in lumps)
+    seen = set()
+    for lump in lumps:
+        if not lump:
+            raise DomainError("compositions may not contain empty lumps")
+        for x in lump:
+            if x in seen:
+                raise DomainError(f"label {x!r} appears in two lumps")
+            seen.add(x)
+    if seen != ground.label_set:
+        raise DomainError("lumps must cover the ground set exactly")
+    kind = type(ground.labels[0]) if ground.labels else None
+    if any(type(x) is not kind for lump in lumps for x in lump):
+        # a label equal to a ground label of another type (True for 1):
+        # store the ground's label, so the value does not depend on which
+        # equal argument was interned first
+        own = {x: x for x in ground.labels}
+        lumps = tuple(tuple(own[x] for x in lump) for lump in lumps)
+    return lumps
+
+
+def _new_composition(ground: GroundSet, lumps) -> "SetComposition":
+    lumps = _validated_lumps(ground, lumps)
+    f = object.__new__(SetComposition)
+    object.__setattr__(f, "ground", ground)
+    object.__setattr__(f, "lumps", lumps)
+    object.__setattr__(f, "_hash", hash((ground, lumps)))
+    return f
+
+
+@lru_cache(maxsize=16384)
+def _intern_composition(ground: GroundSet, lumps: tuple) -> "SetComposition":
+    """The composition of ``ground`` into ``lumps``, validated once per
+    distinct argument pair; unsorted lumps resolve to the sorted entry."""
+    f = _new_composition(ground, lumps)
+    return f if f.lumps == lumps else _intern_composition(ground, f.lumps)
+
+
 class SetComposition:
-    """An ordered sequence of disjoint non-empty lumps covering the ground set."""
+    """An ordered sequence of disjoint non-empty lumps covering the ground set.
 
-    ground: GroundSet
-    lumps: tuple  # tuple of sorted tuples
+    Interned: equal (ground, lumps) arguments give the same object while it
+    is memoized.  Unhashable arguments (list lumps) are validated and built
+    each time, and not memoized.
+    """
 
-    def __post_init__(self):
-        lumps = tuple(_sorted_lump(l) for l in self.lumps)
-        seen = set()
-        for lump in lumps:
-            if not lump:
-                raise DomainError("compositions may not contain empty lumps")
-            for x in lump:
-                if x in seen:
-                    raise DomainError(f"label {x!r} appears in two lumps")
-                seen.add(x)
-        if seen != set(self.ground.labels):
-            raise DomainError("lumps must cover the ground set exactly")
-        object.__setattr__(self, "lumps", lumps)
+    __slots__ = ("ground", "lumps", "_hash")
+
+    def __new__(cls, ground: GroundSet, lumps):
+        if type(lumps) is tuple:
+            try:
+                return _intern_composition(ground, lumps)
+            except TypeError:  # unhashable lumps
+                pass
+        return _new_composition(ground, lumps)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __reduce__(self):
+        return SetComposition, (self.ground, self.lumps)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ground == other.ground and self.lumps == other.lumps
+
+    def __hash__(self):
+        return self._hash
 
     def __len__(self):
         """Number of lumps."""
@@ -262,15 +352,11 @@ def concat(f: SetComposition, g: SetComposition) -> SetComposition:
 
 def restrict(f: SetComposition, labels) -> SetComposition:
     """Restrict a composition to a subset of its ground, dropping empty lumps."""
-    sub = set(labels)
+    sub = frozenset(labels)
     if not sub <= f.ground.label_set:
         raise DomainError("restriction labels must lie in the ground set")
-    lumps = []
-    for lump in f.lumps:
-        kept = tuple(x for x in lump if x in sub)
-        if kept:
-            lumps.append(kept)
-    return SetComposition(f.ground.subset(sub), tuple(lumps))
+    kept = (tuple(filter(sub.__contains__, lump)) for lump in f.lumps)
+    return SetComposition(f.ground.subset(sub), tuple(filter(None, kept)))
 
 
 def leq(g: SetComposition, f: SetComposition) -> bool:

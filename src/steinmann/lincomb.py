@@ -124,12 +124,15 @@ def extend_linearly(terms: dict, image) -> dict:
     """``sum(coeff * image(key))`` over ``terms``, where ``image(key)`` is a
     key -> coefficient mapping; returned as such a mapping, zeros kept.
 
-    Key maps mostly return the shared ``ONE``; its products are skipped.
+    Key maps mostly return the shared ``ONE``; its products are skipped, and
+    a key's first contribution is stored as it is rather than added to zero.
     """
     out = {}
     for key, coeff in terms.items():
         for k2, v2 in image(key).items():
-            out[k2] = out.get(k2, ZERO) + (coeff if v2 is ONE else coeff * v2)
+            c = coeff if v2 is ONE else coeff * v2
+            old = out.get(k2)
+            out[k2] = c if old is None else old + c
     return out
 
 
@@ -141,7 +144,9 @@ def extend_bilinearly(a: dict, b: dict, image=None) -> dict:
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            c = ca * cb
+            c = cb if ca is ONE else ca if cb is ONE else ca * cb
             for k2, v2 in image(ka, kb).items():
-                out[k2] = out.get(k2, ZERO) + (c if v2 is ONE else c * v2)
+                v = c if v2 is ONE else c * v2
+                old = out.get(k2)
+                out[k2] = v if old is None else old + v
     return out

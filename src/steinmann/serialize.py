@@ -61,9 +61,9 @@ def composition_to_json(f: SetComposition):
 
 
 def composition_from_json(data, ground: GroundSet = None) -> SetComposition:
-    if not isinstance(data, list) or not all(isinstance(lump, list) for lump in data):
+    if not isinstance(data, list):
         raise UsageError(f"a composition must be a JSON array of label arrays, got {data!r}")
-    lumps = tuple(tuple(l) for l in data)
+    lumps = tuple(tuple(_labels(l, f"composition[{i}]")) for i, l in enumerate(data))
     if ground is None:
         ground = GroundSet(tuple(x for l in lumps for x in l))
     return SetComposition(ground, lumps)

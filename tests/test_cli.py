@@ -188,6 +188,7 @@ class TestErrors:
             (("mul", "--a", M1.replace('[["1"]]', '"1"'), "--b", M2), "terms[0].key"),
             (("cone", "--preposet", "{}"), "ground"),
             (("tits", "--f", '[["1"]]', "--g", "5"), "composition"),
+            (("tits", "--f", '[[{}]]', "--g", '[["1"]]'), "composition[0]"),
             (("cone", "--preposet", '{"ground":["1","2"],"pairs":[5]}'), "pairs[0]"),
             (("cone", "--preposet", '{"ground":["1","2"],"pairs":[["2","1"],["1","9"]]}'), "pairs[1]"),
             (("cone", "--preposet", '{"ground":["1","2"],"pairs":[["1","2","1"]]}'), "pairs[0]"),
@@ -198,6 +199,7 @@ class TestErrors:
         ids=["object-missing-ground", "array-not-object", "values-zero-denominator",
              "missing-terms", "coeff-not-rational", "coeff-zero-denominator",
              "key-not-a-composition", "preposet-missing-ground", "composition-not-an-array",
+             "composition-lump-not-labels",
              "preposet-pair-not-an-array", "preposet-pair-off-ground", "preposet-pair-too-long",
              "tree-not-an-array", "tree-leaf-not-labels", "tree-empty-leaf"],
     )

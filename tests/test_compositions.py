@@ -93,9 +93,16 @@ class TestValidation:
                 "restriction labels must lie in the ground set",
             ),
             (lambda: co.ground([1, 2]).subset({1, 3}), "labels [3] not in ground set"),
+            # True == 1 and hashes alike: a memo hit on the valid (1, 2) must not answer it
+            (lambda: co.ground([1, 2]) and co.ground([True, 2]),
+             "ground labels must be all strings or all integers"),
+            (lambda: co.ground([1.0]), "ground labels must be all strings or all integers"),
+            (lambda: co.SetComposition(co.ground([1, 2]), [[1], [1, 2]]), "label 1 appears in two lumps"),
+            (lambda: co.SetComposition(co.ground([1]), [[1], []]), "compositions may not contain empty lumps"),
         ],
         ids=["duplicate", "mixed-kinds", "empty-lump", "repeated", "partial-cover",
-             "restrict-foreign", "subset-foreign"],
+             "restrict-foreign", "subset-foreign", "bool-after-int", "float",
+             "list-lumps-repeated", "list-lumps-empty"],
     )
     def test_messages(self, build, message):
         for _ in range(2):
@@ -110,6 +117,62 @@ class TestValidation:
         assert g.subset(["c", "a"]) == co.ground(["a", "c"])
         with pytest.raises(DomainError, match=re.escape("labels ['z'] not in ground set")):
             g.subset(["a", "z"])
+
+
+class TestInterning:
+    def test_unhashable_lumps_construct_unmemoized_and_equal_the_tuple_form(self):
+        g = co.ground([1, 2, 3])
+        before = co._intern_composition.cache_info().currsize
+        f = co.SetComposition(g, [[2, 1], [3]])
+        assert co._intern_composition.cache_info().currsize == before
+        assert f == co.SetComposition(g, ((1, 2), (3,))) and f.lumps == ((1, 2), (3,))
+        assert hash(f) == hash(co.SetComposition(g, ((1, 2), (3,))))
+
+    def test_stored_hashes_are_the_field_tuple_hashes(self):
+        g = co.ground(["b", "a", "c"])
+        f = c(["a", "b", "c"], [["c"], ["b", "a"]])
+        assert hash(g) == hash((("a", "b", "c"),))
+        assert hash(f) == hash((f.ground, (("c",), ("a", "b"))))
+        assert g.label_set == frozenset("abc")
+
+    @pytest.mark.parametrize("name", ["labels", "label_set", "lumps", "ground", "other"])
+    def test_immutable(self, name):
+        value = c([1, 2], [[2], [1]])
+        for obj in (value, value.ground):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+
+    def test_equal_values_from_every_path_are_one_object(self):
+        from steinmann import serialize
+
+        g = co.standard_ground(4)
+        target = c(["1", "3", "4"], [["3"], ["1", "4"]])
+        built = [
+            co.restrict(c(g, [["3"], ["2"], ["4", "1"]]), {"1", "3", "4"}),
+            co.concat(c(["3"], [["3"]]), c(["1", "4"], [["4", "1"]])),
+            next(f for f in co.enumerate_compositions(target.ground) if f.lumps == target.lumps),
+            serialize.composition_from_json([["3"], ["4", "1"]]),
+            co.SetComposition(co.ground(("4", "3", "1")), (("3",), ("4", "1"))),
+        ]
+        for f in built:
+            assert f == target and hash(f) == hash(target) and f is target
+
+    def test_labels_equal_to_ground_labels_are_stored_as_the_ground_labels(self):
+        g = co.ground([1, 2])
+        for lumps in (((True,), (2,)), ((1,), (2,))):
+            f = co.SetComposition(g, lumps)
+            assert f == c([1, 2], [[1], [2]])
+            assert all(type(x) is int for lump in f.lumps for x in lump)
+
+    def test_copy_and_pickle_return_the_interned_value(self):
+        import copy
+        import pickle
+
+        f = c(["a", "b"], [["b"], ["a"]])
+        assert copy.deepcopy(f) is f and copy.copy(f.ground) is f.ground
+        assert pickle.loads(pickle.dumps(f)) == f
 
 
 class TestConcatRestrict:

@@ -37,3 +37,12 @@ def test_hopf_suite_catches_a_broken_key_map(monkeypatch, name, mutate, basis):
     assert not result["ok"]
     assert f"antipode-identity[{basis}]" in failed
     assert all(name.endswith(f"[{basis}]") for name in failed)
+
+
+def test_duality_suite_catches_a_deconcatenating_h_coproduct(monkeypatch):
+    coproduct = hopf._key_coproduct
+    monkeypatch.setattr(
+        hopf, "_key_coproduct", lambda basis, key, s, t: coproduct("M" if basis == "H" else basis, key, s, t)
+    )
+    result = verify.verify_duality(3)
+    assert {c["name"] for c in result["checks"] if not c["ok"]} == {"pairing-adjunction"}
