@@ -180,8 +180,8 @@ class SetComposition:
     """An ordered sequence of disjoint non-empty lumps covering the ground set.
 
     Interned: equal (ground, lumps) arguments give the same object while it
-    is memoized.  Unhashable arguments (list lumps) are validated and built
-    each time, and not memoized.
+    is memoized.  Lumps given as anything but a hashable tuple (a list, say)
+    are validated and built on every call, and not memoized.
     """
 
     __slots__ = ("ground", "lumps", "_hash")

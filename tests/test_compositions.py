@@ -161,6 +161,7 @@ class TestInterning:
 
     def test_labels_equal_to_ground_labels_are_stored_as_the_ground_labels(self):
         g = co.ground([1, 2])
+        co._intern_composition.cache_clear()  # so the True form is built, not found
         for lumps in (((True,), (2,)), ((1,), (2,))):
             f = co.SetComposition(g, lumps)
             assert f == c([1, 2], [[1], [2]])
